@@ -181,6 +181,21 @@ def test_jac_order():
     assert out["order"] == 50 and out["N1"] == 8 and out["N2"] == 50
 
 
+def test_jac_order_with_h_exact_output():
+    curve = '{"f":["1","0","0","0","0","1"],"field":"GF(7)","h":["1","1","1"]}'
+    buf = io.StringIO()
+    assert main(["jac-order", "--curve", curve], out=buf) == EXIT_OK
+    assert buf.getvalue() == '{"N1":7,"N2":69,"a":1,"b":-4,"order":52,"q":7}\n'
+
+
+def test_jac_order_refuses_large_p():
+    curve = json.dumps({"f": ["1", "1", "0", "0", "0", "1"], "field": "GF(10007)"})
+    code, out = run_one(["jac-order", "--curve", curve])
+    assert code == EXIT_DOMAIN
+    assert out["error"]["kind"] == "domain"
+    assert "50070024 evaluations" in out["error"]["message"]
+
+
 def test_theta_census():
     code, out = run_one(["theta-census", "--g", "2"])
     assert out["even"] == 10 and out["odd"] == 6 and out["vanishing_even"] == 0

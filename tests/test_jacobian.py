@@ -3,13 +3,16 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from superelliptic.algebra import GF, QQ, Poly
-from superelliptic.errors import DomainError, SingularCurveError
+from superelliptic.errors import DomainError, SingularCurveError, UnsupportedCaseError
 from superelliptic.jacobian import (
+    ORDER_MAX_P,
     HyperCurve,
     MumfordDivisor,
     MumfordError,
+    WeilData,
     cantor_add,
     divisor_from_points,
     enumerate_divisors,
@@ -561,3 +564,80 @@ def test_order_annihilates_group(rng):
     order = jacobian_order_g2(C7)
     for d in enumerate_divisors(C7):
         assert scalar_mul(order, d) == identity(C7)
+
+
+def _ext_sqrt_count(p, t, coeffs_w, x):
+    """1 + chi(w(x)) over GF(p^2) = GF(p)[s]/(s^2 - t); x is an (a, b) pair."""
+    w = (0, 0)
+    for c in reversed(coeffs_w):
+        # w = w * x + c
+        a, b = w
+        xa, xb = x
+        w = ((a * xa + b * xb * t) % p, (a * xb + b * xa) % p)
+        w = ((w[0] + c) % p, w[1])
+    if w == (0, 0):
+        return 1
+    # chi via w^((p^2-1)/2)
+    e = (p * p - 1) // 2
+    base, acc = w, (1, 0)
+    while e:
+        if e & 1:
+            a, b = acc
+            xa, xb = base
+            acc = ((a * xa + b * xb * t) % p, (a * xb + b * xa) % p)
+        a, b = base
+        base = ((a * a + b * b * t) % p, (2 * a * b) % p)
+        e >>= 1
+    if acc == (1, 0):
+        return 2
+    return 0
+
+
+def _weil_data_oracle(curve):
+    """Direct O(p^2 log p) count: Euler's criterion on every x of GF(p)
+    and GF(p^2)."""
+    p = curve.field.p
+    w = 4 * curve.f + curve.h * curve.h
+    wc = [int(c.value) for c in w.coeffs]
+    n1 = 1
+    half = (p - 1) // 2
+    for x in range(p):
+        val = 0
+        for c in reversed(wc):
+            val = (val * x + c) % p
+        if val == 0:
+            n1 += 1
+        elif pow(val, half, p) == 1:
+            n1 += 2
+    t = next(c for c in range(2, p) if pow(c, half, p) == p - 1)
+    n2 = 1
+    for a in range(p):
+        for b in range(p):
+            n2 += _ext_sqrt_count(p, t, wc, (a, b))
+    a_coef = p + 1 - n1
+    e2 = (a_coef * a_coef - (p * p + 1 - n2)) // 2
+    order = 1 - a_coef + e2 - a_coef * p + p * p
+    return WeilData(q=p, n1=n1, n2=n2, a=a_coef, b=e2 - 2 * p, order=order)
+
+
+_PRIMES = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_PRIMES), st.data())
+def test_weil_data_matches_oracle(p, data):
+    coeffs = st.integers(0, p - 1)
+    f = data.draw(st.lists(coeffs, min_size=5, max_size=5)) + [1]
+    h = data.draw(st.lists(coeffs, max_size=3))
+    try:
+        curve = HyperCurve.make(GF(p), f, h)
+    except SingularCurveError:
+        assume(False)
+    assert weil_data_g2(curve) == _weil_data_oracle(curve)
+
+
+def test_order_refused_above_max_p():
+    curve = HyperCurve.make(GF(10007), [1, 1, 0, 0, 0, 1])
+    assert curve.field.p > ORDER_MAX_P
+    with pytest.raises(UnsupportedCaseError, match="50070024 evaluations"):
+        weil_data_g2(curve)
