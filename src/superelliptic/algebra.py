@@ -2,12 +2,16 @@
 polynomials, homogeneous binary forms, and the covariant operations
 (transvectant, linear substitution, discriminant) everything else consumes.
 
-Scalars are either ``fractions.Fraction`` (field ``QQ``) or ``GFElement``
-(field ``GF(p)``, p an odd prime).  All values are immutable; every
-operation is a pure function, so values can be shared freely.
+Scalars at the API boundary are ``fractions.Fraction`` (field ``QQ``) or
+``GFElement`` (field ``GF(p)``, p an odd prime).  A ``Poly`` holds raw
+residues instead (plain ints in [0, p) over GF(p), Fractions over QQ) and
+runs on its field's small kernel: reduce and trim, invert, convert to and
+from public scalars.  All values are immutable; every operation is a pure
+function, so values can be shared freely.
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import factorial, gcd, isqrt
 
 from .errors import CharacteristicError, DomainError
@@ -216,10 +220,8 @@ class GFElement:
         return NotImplemented if o is NotImplemented else o / self
 
     def __pow__(self, e):
-        if e < 0:
-            if self.value == 0:
-                raise ZeroDivisionError("inverse of zero in GF(p)")
-            return GFElement(pow(self.value, e, self.p), self.p)
+        if e < 0 and not self.value:
+            raise ZeroDivisionError("inverse of zero in GF(p)")
         return GFElement(pow(self.value, e, self.p), self.p)
 
     def __neg__(self):
@@ -244,6 +246,13 @@ class GFElement:
         return f"GF({self.p})({self.value})"
 
 
+def _trimmed(cs):
+    """The list cs without its trailing zeros, as a tuple."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
 class RationalField:
     """The rationals, with Fraction as the element type."""
 
@@ -255,6 +264,13 @@ class RationalField:
         if isinstance(v, (int, str)):
             return Fraction(v)
         raise DomainError(f"cannot coerce {v!r} into QQ")
+
+    # Poly kernel: the raw values are the Fractions themselves
+    _zero = Fraction(0)
+    _raw = of
+    _trim = staticmethod(_trimmed)
+    _box = _red = staticmethod(lambda c: c)
+    _inv = staticmethod(lambda c: 1 / c)
 
     def from_fraction(self, q):
         return Fraction(q)
@@ -284,6 +300,7 @@ class PrimeField:
         if not is_prime(p) or p == 2:
             raise DomainError(f"GF({p}): p must be an odd prime")
         self.p = p
+        self._red = p.__rmod__  # c -> c % p, without a Python frame
 
     @property
     def characteristic(self):
@@ -321,6 +338,21 @@ class PrimeField:
     def elements(self):
         return (GFElement(v, self.p) for v in range(self.p))
 
+    # Poly kernel: the raw values are int residues in [0, p)
+    _zero = 0
+
+    def _raw(self, v):
+        return v % self.p if type(v) is int else self.of(v).value
+
+    def _box(self, c):
+        return GFElement(c, self.p)
+
+    def _inv(self, c):
+        return pow(c, -1, self.p)
+
+    def _trim(self, cs):
+        return _trimmed(list(map(self._red, cs)))
+
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -342,21 +374,32 @@ def GF(p):
 # dense univariate polynomials
 
 
-def _trim(coeffs):
-    n = len(coeffs)
-    while n > 0 and not coeffs[n - 1]:
-        n -= 1
-    return tuple(coeffs[:n])
+def _convolve(a, b, zero):
+    """Schoolbook product of two coefficient sequences, left unreduced."""
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
 
 class Poly:
-    """Dense univariate polynomial; coefficients ascending by degree."""
+    """Dense univariate polynomial; coefficients ascending by degree, kept
+    as the field's raw values in ``raw`` and boxed by ``coeffs``."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "raw")
 
     def __init__(self, field, coeffs):
         self.field = field
-        self.coeffs = _trim([field.of(c) for c in coeffs])
+        self.raw = field._trim([field._raw(c) for c in coeffs])
+
+    def _new(self, cs):
+        """Poly over self's field from a list of unreduced raw values."""
+        out = object.__new__(Poly)
+        out.field = field = self.field
+        out.raw = field._trim(cs)
+        return out
 
     @classmethod
     def zero(cls, field):
@@ -371,63 +414,60 @@ class Poly:
         return cls(field, [0, 1])
 
     @property
+    def coeffs(self):
+        return tuple(map(self.field._box, self.raw))
+
+    @property
     def degree(self):
         """Degree, with deg 0 = -1 by convention."""
-        return len(self.coeffs) - 1
+        return len(self.raw) - 1
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.raw
 
     @property
     def lc(self):
-        if self.is_zero:
+        if not self.raw:
             raise DomainError("leading coefficient of zero polynomial")
-        return self.coeffs[-1]
+        return self.field._box(self.raw[-1])
 
     def __getitem__(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.field.zero
+        raw = self.raw
+        return self.field._box(raw[i] if 0 <= i < len(raw) else self.field._zero)
 
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
             and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self.raw == other.raw
         )
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.raw))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self[i] + other[i] for i in range(n)])
+        b = self._coerce(other).raw
+        return self._new([x + y for x, y in zip_longest(self.raw, b, fillvalue=0)])
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self[i] - other[i] for i in range(n)])
+        b = self._coerce(other).raw
+        return self._new([x - y for x, y in zip_longest(self.raw, b, fillvalue=0)])
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return self._new([-c for c in self.raw])
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if self.is_zero or other.is_zero:
-                return Poly.zero(self.field)
-            out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Poly(self.field, out)
-        c = self.field.of(other)
-        return Poly(self.field, [c * a for a in self.coeffs])
+            b = self._coerce(other).raw
+            return self._new(_convolve(self.raw, b, self.field._zero))
+        return self._scale(self.field._raw(other))
 
     __rmul__ = __mul__
+
+    def _scale(self, c):
+        """c * self for a raw value c."""
+        return self._new([c * a for a in self.raw])
 
     def __pow__(self, e):
         out = Poly.one(self.field)
@@ -441,29 +481,30 @@ class Poly:
 
     def _coerce(self, other):
         if isinstance(other, Poly):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise DomainError("mixed coefficient fields")
             return other
         return Poly(self.field, [other])
 
     def divmod(self, other):
-        other = self._coerce(other)
-        if other.is_zero:
+        b = self._coerce(other).raw
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
         field = self.field
-        r = list(self.coeffs)
-        d, lc = other.degree, other.lc
-        if len(r) - 1 < d:
-            return Poly.zero(field), self
-        q = [field.zero] * (len(r) - d)
+        r = list(self.raw)
+        d = len(b) - 1
+        if len(r) <= d:
+            return self._new([]), self
+        red, inv, low = field._red, field._inv(b[-1]), b[:d]
+        q = []
         for k in range(len(r) - 1, d - 1, -1):
-            c = r[k]
-            if c:
-                c = c / lc
-                q[k - d] = c
-                for i in range(d + 1):
-                    r[k - d + i] = r[k - d + i] - c * other.coeffs[i]
-        return Poly(field, q), Poly(field, r)
+            c = red(r[k] * inv)
+            q.append(c)
+            if c:  # r[k] - c * b[d] vanishes; only r[:d] is kept
+                for i, y in enumerate(low, k - d):
+                    r[i] -= c * y
+        q.reverse()
+        return self._new(q), self._new(r[:d])
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -473,58 +514,55 @@ class Poly:
 
     def exact_div(self, other):
         q, r = self.divmod(other)
-        if not r.is_zero:
+        if r.raw:
             raise DomainError("division is not exact")
         return q
 
     def monic(self):
-        if self.is_zero:
+        if not self.raw:
             return self
-        inv = self.field.one / self.lc
-        return Poly(self.field, [c * inv for c in self.coeffs])
+        return self._scale(self.field._inv(self.raw[-1]))
 
     def gcd(self, other):
         a, b = self, self._coerce(other)
-        while not b.is_zero:
+        while b.raw:
             a, b = b, a % b
-        return a.monic() if not a.is_zero else a
+        return a.monic()
 
     def xgcd(self, other):
         """(g, s, t) with s*self + t*other = g, g monic (or zero)."""
         field = self.field
         a, b = self, self._coerce(other)
-        s0, s1 = Poly.one(field), Poly.zero(field)
-        t0, t1 = Poly.zero(field), Poly.one(field)
-        while not b.is_zero:
+        one, zero = Poly.one(field), self._new([])
+        s0, s1, t0, t1 = one, zero, zero, one
+        while b.raw:
             q, r = a.divmod(b)
             a, b = b, r
             s0, s1 = s1, s0 - q * s1
             t0, t1 = t1, t0 - q * t1
-        if a.is_zero:
+        if not a.raw:
             return a, s0, t0
-        inv = field.one / a.lc
-        return a.monic(), s0 * inv, t0 * inv
+        inv = field._inv(a.raw[-1])
+        return a._scale(inv), s0._scale(inv), t0._scale(inv)
 
     def derivative(self):
-        return Poly(
-            self.field, [i * self.field.of(c) for i, c in enumerate(self.coeffs)][1:]
-        )
+        return self._new([i * c for i, c in enumerate(self.raw)][1:])
 
     def __call__(self, x):
-        acc = self.field.zero
-        x = self.field.of(x)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        field = self.field
+        x, red, acc = field._raw(x), field._red, field._zero
+        for c in reversed(self.raw):
+            acc = red(acc * x + c)
+        return field._box(acc)
 
     def shift_compose(self, scale):
         """p(scale * x) for a scalar."""
-        s = self.field.of(scale)
-        out, power = [], self.field.one
-        for c in self.coeffs:
+        s, red = self.field._raw(scale), self.field._red
+        out, power = [], 1
+        for c in self.raw:
             out.append(c * power)
-            power = power * s
-        return Poly(self.field, out)
+            power = red(power * s)
+        return self._new(out)
 
     def is_squarefree(self):
         return self.gcd(self.derivative()).degree <= 0
@@ -690,14 +728,8 @@ class BinaryForm:
     def __mul__(self, other):
         if not isinstance(other, BinaryForm):
             return self.scale(other)
-        d = self.degree + other.degree
-        out = [self.field.zero] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return BinaryForm(self.field, d, out)
+        return BinaryForm(self.field, self.degree + other.degree,
+                          _convolve(self.coeffs, other.coeffs, self.field.zero))
 
     def diff_xy(self, i, j):
         """Mixed partial derivative d^(i+j) f / dX^i dY^j, exact."""
@@ -726,30 +758,21 @@ class BinaryForm:
             raise DomainError("substitute needs a Mat2 over the same field")
         field = self.field
         d = self.degree
-
-        # work on coefficient lists indexed by Y-exponent
-        def mul(u, v):
-            out = [field.zero] * (len(u) + len(v) - 1)
-            for i, a in enumerate(u):
-                if not a:
-                    continue
-                for j, b in enumerate(v):
-                    out[i + j] = out[i + j] + a * b
-            return out
-
+        zero = field.zero
+        # coefficient lists indexed by Y-exponent
         lin1 = [M.a, M.b]  # aX + bY
         lin2 = [M.c, M.d]  # cX + dY
         # powers of the two linear forms
         pow1 = [[field.one]]
         pow2 = [[field.one]]
         for _ in range(d):
-            pow1.append(mul(pow1[-1], lin1))
-            pow2.append(mul(pow2[-1], lin2))
-        acc = [field.zero] * (d + 1)
+            pow1.append(_convolve(pow1[-1], lin1, zero))
+            pow2.append(_convolve(pow2[-1], lin2, zero))
+        acc = [zero] * (d + 1)
         for i, c in enumerate(self.coeffs):
             if not c:
                 continue
-            term = mul(pow1[d - i], pow2[i])
+            term = _convolve(pow1[d - i], pow2[i], zero)
             for k, t in enumerate(term):
                 acc[k] = acc[k] + c * t
         return BinaryForm(field, d, acc)
@@ -845,7 +868,8 @@ def kth_roots_in_field(value, k, field):
     if not value:
         return [field.zero]
     if p <= 20000:
-        return [e for e in field.elements() if e and e**k == value]
+        v = field.of(value).value
+        return [GFElement(x, p) for x in range(1, p) if pow(x, k, p) == v]
     d = gcd(k, p - 1)
     if d == 1:
         return [value ** pow(k, -1, p - 1)]

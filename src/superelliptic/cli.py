@@ -69,7 +69,7 @@ def parse_curve(doc):
     if not isinstance(doc, dict):
         raise ParseError("curve document must be a JSON object")
     try:
-        n = int(doc["n"])
+        n = int_in(doc["n"], "n")
         field = parse_field(doc.get("field", "Q"))
         f = poly_in(field, doc["f"])
     except KeyError as e:
@@ -105,7 +105,7 @@ def parse_point(doc):
         raise ParseError("weighted point must be a JSON object")
     try:
         coords = [scalar_in(QQ, c) for c in doc["coords"]]
-        ws = [int(w) for w in doc["weights"]]
+        ws = [int_in(w, "weights") for w in doc["weights"]]
     except KeyError as e:
         raise ParseError(f"point document missing key {e}")
     try:
@@ -133,6 +133,14 @@ def divisor_out(d):
     return {"u": poly_out(d.u), "v": poly_out(d.v)}
 
 
+def int_in(v, name):
+    """int(v) for a parameter, raising ParseError instead of ValueError."""
+    try:
+        return int(v)
+    except (TypeError, ValueError):
+        raise ParseError(f"{name} must be an integer, got {v!r}")
+
+
 def json_arg(s):
     try:
         return json.loads(s)
@@ -151,18 +159,24 @@ def _need(params, *keys):
     return [params[k] for k in keys]
 
 
+def _opt_int(params, key):
+    v = params.get(key)
+    return None if v is None else int_in(v, key)
+
+
 def cmd_genus(params):
     n, d = _need(params, "n", "d")
-    return {"g": atlas.genus(int(n), int(d))}
+    return {"g": atlas.genus(int_in(n, "n"), int_in(d, "d"))}
 
 
 def cmd_gap_basis(params):
     n, d, q = _need(params, "n", "d", "q")
-    basis = atlas.weierstrass_gap_basis(int(n), int(d), int(q))
+    n, d, q = int_in(n, "n"), int_in(d, "d"), int_in(q, "q")
+    basis = atlas.weierstrass_gap_basis(n, d, q)
     return {
         "S": sorted([list(ab) for ab in basis.S]),
         "d_q": basis.d_q,
-        "weight": atlas.branch_weight(int(n), int(d), int(q)),
+        "weight": atlas.branch_weight(n, d, q),
     }
 
 
@@ -264,12 +278,9 @@ def cmd_laska(params):
 def cmd_aut_lookup(params):
     (g,) = _need(params, "g")
     recs = atlas.aut_lookup(
-        int(g),
-        n=None if params.get("n") is None else int(params["n"]),
-        m=None if params.get("m") is None else int(params["m"]),
+        int_in(g, "g"), n=_opt_int(params, "n"), m=_opt_int(params, "m"),
         reduced_group=params.get("reduced_group"),
-        dimension=None if params.get("dimension") is None else int(params["dimension"]),
-        case=None if params.get("case") is None else int(params["case"]),
+        dimension=_opt_int(params, "dimension"), case=_opt_int(params, "case"),
     )
     return {"atlas_version": atlas.ATLAS_VERSION, "records": [
         {
@@ -284,17 +295,16 @@ def cmd_aut_lookup(params):
 
 def cmd_family_eq(params):
     case, n = _need(params, "case", "n")
-    m = params.get("m")
     curve = atlas.family_equation(
-        int(case), int(n), params.get("params") or [],
-        m=None if m is None else int(m),
+        int_in(case, "case"), int_in(n, "n"), params.get("params") or [],
+        m=_opt_int(params, "m"),
     )
     return {"curve": curve_out(curve), "genus": curve.genus()}
 
 
 def cmd_split(params):
     n, m, delta = _need(params, "n", "m", "delta")
-    res = atlas.split_jacobian(int(n), int(m), int(delta))
+    res = atlas.split_jacobian(int_in(n, "n"), int_in(m, "m"), int_in(delta, "delta"))
     return {"decomposes": res.decomposes, "lhs": res.lhs, "rhs": res.rhs}
 
 
@@ -315,6 +325,8 @@ def cmd_jac_add(params):
     C = parse_hyper(curve)
 
     def parse_div(doc):
+        if not (isinstance(doc, dict) and "u" in doc and "v" in doc):
+            raise ParseError('divisor document must be an object with "u" and "v"')
         return jacobian.mumford_validate(
             poly_in(C.field, doc["u"]), poly_in(C.field, doc["v"]), C
         )
@@ -337,7 +349,7 @@ def cmd_jac_order(params):
 
 def cmd_theta_census(params):
     (g,) = _need(params, "g")
-    g = int(g)
+    g = int_in(g, "g")
     even, odd = theta.parity_census(g)
     vanishing = theta.vanishing_even_thetanulls(g)
     return {
@@ -349,7 +361,7 @@ def cmd_theta_census(params):
 
 def cmd_gopel(params):
     g, r = _need(params, "g", "r")
-    return {"count": theta.gopel_count(int(g), int(r))}
+    return {"count": theta.gopel_count(int_in(g, "g"), int_in(r, "r"))}
 
 
 HANDLERS = {
@@ -426,11 +438,16 @@ def _error_obj(exc):
     return {"error": {"kind": kind, "message": str(exc)}}
 
 
+_parser = None  # built by the first main call, then reused
+
+
 def main(argv=None, out=None):
+    global _parser
     out = out or sys.stdout
-    ap = build_parser()
+    if _parser is None:
+        _parser = build_parser()
     try:
-        ns = ap.parse_args(argv)
+        ns = _parser.parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_USAGE
     handler = HANDLERS[ns.command]

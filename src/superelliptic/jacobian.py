@@ -7,6 +7,7 @@ Weil polynomial.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .algebra import Poly, PrimeField, QQ, lagrange_interpolate
 from .errors import DomainError, SingularCurveError, UnsupportedCaseError
@@ -232,22 +233,13 @@ def enumerate_divisors(curve):
         raise DomainError("enumeration needs a finite field")
     out = [identity(curve)]
     for deg_u in range(1, curve.genus + 1):
-        for u_tail in _tuples(field, deg_u):
+        for u_tail in product(range(field.p), repeat=deg_u):
             u = Poly(field, list(u_tail) + [1])
-            for v_tail in _tuples(field, deg_u):
+            for v_tail in product(range(field.p), repeat=deg_u):
                 v = Poly(field, list(v_tail))
                 if ((v * v + v * curve.h - curve.f) % u).is_zero:
                     out.append(MumfordDivisor(curve, u, v))
     return out
-
-
-def _tuples(field, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _tuples(field, n - 1):
-        for e in field.elements():
-            yield rest + (e,)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +288,7 @@ def weil_data_g2(curve):
             f"point count over GF({p}^2) needs about {p * p // 2} evaluations; "
             f"supported up to p = {ORDER_MAX_P}")
     w = 4 * curve.f + curve.h * curve.h  # (2y + h)^2 = w, of degree 5
-    wc = [int(c.value) for c in w.coeffs]
+    wc = list(w.raw)
     roots = [0] * p  # roots[v] = #{y : y^2 = v} = 1 + chi(v)
     for y in range(p):
         roots[y * y % p] += 1

@@ -180,12 +180,8 @@ def is_minimal_tuple(point, d):
     the weighted sense.
     """
     thresholds = _minimal_weights(point.weights, d)
-    xs = []
-    for x in point.coords:
-        x = Fraction(x)
-        if x.denominator != 1:
-            raise DomainError("minimality needs an integral tuple")
-        xs.append(x.numerator)
+    if any(Fraction(x).denominator != 1 for x in point.coords):
+        raise DomainError("minimality needs an integral tuple")
     g = wgcd(point, weights=thresholds)
     if g == 1:
         return True, ()

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from superelliptic.algebra import (
     GF,
     QQ,
+    GFElement,
     BinaryForm,
     Mat2,
     Poly,
@@ -91,6 +92,48 @@ def test_poly_xgcd(acoeffs, bcoeffs):
         return
     g, s, t = a.xgcd(b)
     assert s * a + t * b == g
+    assert (a % g).is_zero and (b % g).is_zero
+
+
+# Poly over GF(p) against an oracle on boxed GFElement coefficients
+
+GF_PRIMES = (3, 7, 1009, 65521, 2**61 - 1)
+
+
+def _boxed_mul(F, a, b):
+    """Schoolbook product on the public GFElement coefficients."""
+    out = [F.zero] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+@st.composite
+def gf_polys(draw):
+    p = draw(st.sampled_from(GF_PRIMES))
+    coeffs = st.lists(st.integers(min_value=-2 * p, max_value=2 * p), max_size=7)
+    return GF(p), draw(coeffs), draw(coeffs)
+
+
+@given(gf_polys())
+@settings(max_examples=150, deadline=None)
+def test_poly_gf_matches_boxed_oracle(case):
+    F, acoeffs, bcoeffs = case
+    a, b = Poly(F, acoeffs), Poly(F, bcoeffs)
+    for P in (a, b):
+        assert all(isinstance(c, GFElement) and 0 <= c.value < F.p for c in P.coeffs)
+        assert P.is_zero or P.lc.value != 0
+        assert Poly(F, P.coeffs) == P
+    assert a * b == Poly(F, _boxed_mul(F, a, b))
+    if b.is_zero:
+        return
+    q, r = a.divmod(b)
+    assert q * b + r == a
+    assert r.degree < b.degree
+    g, s, t = a.xgcd(b)
+    assert s * a + t * b == g
+    assert g.lc == 1
     assert (a % g).is_zero and (b % g).is_zero
 
 

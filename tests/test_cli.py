@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -235,3 +238,95 @@ def test_pretty_format():
     assert code == EXIT_OK
     assert json.loads(buf.getvalue()) == {"g": 2}
     assert "\n" in buf.getvalue().strip()
+
+
+def test_jac_add_bad_divisor_document_is_a_parse_error():
+    for d1 in ('{"u":["1","1"]}', '{"v":[]}', '["0","1"]', '"x"'):
+        code, out = run_one(["jac-add", "--curve", GF7_CURVE,
+                              "--d1", d1, "--d2", '{"u":["1"],"v":[]}'])
+        assert code == EXIT_PARSE
+        assert out["error"]["kind"] == "parse"
+
+
+def test_jac_validate_bad_polynomial_is_a_parse_error():
+    code, out = run_one(["jac-validate", "--curve", GF7_CURVE,
+                          "--u", '{"u":["0","1"]}', "--v", '["1"]'])
+    assert code == EXIT_PARSE
+    assert out["error"]["kind"] == "parse"
+
+
+def test_jac_add_batch_survives_bad_divisor_documents(tmp_path):
+    batch = tmp_path / "batch.jsonl"
+    good = '{"u":["0","1"],"v":["1"]}'
+    one = '{"u":["1"],"v":[]}'
+    batch.write_text("".join(
+        f'{{"curve":{GF7_CURVE},"d1":{d1},"d2":{one}}}\n'
+        for d1 in ('{"u":["1","1"]}', '[1, 2]', good)))
+    code, lines = run(["jac-add", "--input", str(batch)])
+    assert code == EXIT_OK
+    assert len(lines) == 3
+    assert lines[0]["error"]["kind"] == "parse"
+    assert lines[1]["error"]["kind"] == "parse"
+    assert lines[2] == {"u": ["0", "1"], "v": ["1"]}
+
+
+def test_batch_non_integer_parameter_is_a_parse_error(tmp_path):
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text('{"n":"abc","d":5}\n{"n":2,"d":5}\n')
+    buf = io.StringIO()
+    assert main(["genus", "--input", str(batch)], out=buf) == EXIT_OK
+    lines = buf.getvalue().splitlines()
+    assert len(lines) == 2
+    assert json.loads(lines[0])["error"]["kind"] == "parse"
+    assert lines[1] == '{"g":2}'
+
+
+def test_non_integer_parameters_exit_4():
+    curve = json.dumps({"n": "two", "f": ["1", "0", "0", "0", "0", "0", "1"]})
+    point = json.dumps({"coords": ["1", "1"], "weights": [2, "x"]})
+    for argv in (["invariants", "--curve", curve], ["wgcd", "--point", point]):
+        code, out = run_one(argv)
+        assert code == EXIT_PARSE
+        assert out["error"]["kind"] == "parse"
+
+
+def test_jac_add_genus3_large_prime_exact_output():
+    p = 2**61 - 1
+    curve = json.dumps({"f": [
+        "1489329878329068627", "2269205535523441385", "2274309302370876691",
+        "779222883399882028", "1402210985913227600", "841759630796083490",
+        "30675433304177377", "1"], "field": f"GF({p})"})
+    d1 = json.dumps({"u": ["1665653921126696702", "1516049934625186647",
+                           "1206641574776132989", "1"],
+                     "v": ["972826591379888465", "795076882934527523",
+                           "203590066424364849"]})
+    d2 = json.dumps({"u": ["1792690025924275164", "1188048945743033454",
+                           "764022712120607611", "1"],
+                     "v": ["619974058466764963", "860448059198958561",
+                           "2054454034614591682"]})
+    buf = io.StringIO()
+    assert main(["jac-add", "--curve", curve, "--d1", d1, "--d2", d2], out=buf) == EXIT_OK
+    assert buf.getvalue() == (
+        '{"u":["1612025396579653443","131134236925423489","212180211732050181","1"],'
+        '"v":["476706756785300547","1624938643145361103","706324861615662845"]}\n')
+
+
+def test_consecutive_calls_match_fresh_processes():
+    calls = [
+        ["genus", "--n", "2", "--d", "5"],
+        ["--format", "pretty", "jac-order", "--curve", GF7_CURVE],
+        ["gopel", "--format", "pretty", "--g", "2", "--r", "2"],
+        ["invariants", "--curve", SEXTIC],
+        ["genus", "--n", "2", "--d", "2"],
+        ["theta-census", "--g", "2"],
+    ]
+    in_process = []
+    for argv in calls:
+        buf = io.StringIO()
+        in_process.append((main(argv, out=buf), buf.getvalue()))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, (code, text) in zip(calls, in_process):
+        proc = subprocess.run([sys.executable, "-m", "superelliptic.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (code, text)

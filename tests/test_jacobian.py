@@ -641,3 +641,18 @@ def test_order_refused_above_max_p():
     assert curve.field.p > ORDER_MAX_P
     with pytest.raises(UnsupportedCaseError, match="50070024 evaluations"):
         weil_data_g2(curve)
+
+
+def test_scalar_mul_large_prime_exact_result():
+    p = 2**61 - 1
+    F = GF(p)
+    curve = HyperCurve.make(F, [
+        60043843193914770, 123130825854188873, 884195012983257563,
+        34030129504929377, 1825017222793591549, 1])
+    d = mumford_validate(Poly(F, [1443791918684305234, 1303889869748103078, 1]),
+                         Poly(F, [973624995968406917, 604937829028692597]), curve)
+    out = scalar_mul(0xDEADBEEFCAFEF00D, d)
+    assert [c.value for c in out.u.coeffs] == [
+        1835327226569942371, 1235428626041513574, 1]
+    assert [c.value for c in out.v.coeffs] == [
+        2032383166907924750, 567775018948835697]
