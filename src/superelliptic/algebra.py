@@ -6,13 +6,18 @@ Scalars at the API boundary are ``fractions.Fraction`` (field ``QQ``) or
 ``GFElement`` (field ``GF(p)``, p an odd prime).  A ``Poly`` holds raw
 residues instead (plain ints in [0, p) over GF(p), Fractions over QQ) and
 runs on its field's small kernel: reduce and trim, invert, convert to and
-from public scalars.  All values are immutable; every operation is a pure
-function, so values can be shared freely.
+from public scalars.  The binary-form kernels (transvectant, linear
+substitution, resultant) run on plain integer vectors: over QQ each input
+is cleared to integers with one common denominator, over GF(p) the
+residues are used as they are, and each output coefficient becomes one
+public scalar at the end.  The resultant is the sub-resultant PRS, the
+same routine for both fields.  All values are immutable; every operation
+is a pure function, so values can be shared freely.
 """
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import factorial, gcd, isqrt
+from math import comb, factorial, gcd, isqrt, lcm, perm
 
 from .errors import CharacteristicError, DomainError
 
@@ -272,6 +277,22 @@ class RationalField:
     _box = _red = staticmethod(lambda c: c)
     _inv = staticmethod(lambda c: 1 / c)
 
+    @staticmethod
+    def _ints(cs):
+        """(ints, den) with cs[i] = ints[i] / den."""
+        # unpack a list, not a generator: CPython sizes a tuple built from
+        # a generator by resizing, which piles blocks up on a free list
+        den = lcm(*[c.denominator for c in cs])
+        return [c.numerator * (den // c.denominator) for c in cs], den
+
+    @staticmethod
+    def _scalars(ints, num, den):
+        return [Fraction(c * num, den) for c in ints]
+
+    @staticmethod
+    def _exact(cs, d):
+        return [c // d for c in cs]
+
     def from_fraction(self, q):
         return Fraction(q)
 
@@ -352,6 +373,18 @@ class PrimeField:
 
     def _trim(self, cs):
         return _trimmed(list(map(self._red, cs)))
+
+    def _ints(self, cs):
+        return list(map(self._raw, cs)), 1
+
+    def _scalars(self, ints, num, den):
+        """The GFElements ints[i] * num / den."""
+        s = self.from_fraction(Fraction(num, den)).value
+        return [GFElement(c * s, self.p) for c in ints]
+
+    def _exact(self, cs, d):
+        inv = pow(d, -1, self.p)
+        return [c * inv % self.p for c in cs]
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -470,6 +503,8 @@ class Poly:
         return self._new([c * a for a in self.raw])
 
     def __pow__(self, e):
+        if e < 0:
+            raise DomainError("negative power of a polynomial")
         out = Poly.one(self.field)
         base = self
         while e:
@@ -567,22 +602,6 @@ class Poly:
     def is_squarefree(self):
         return self.gcd(self.derivative()).degree <= 0
 
-    def squarefree_multiplicities(self):
-        """Maximal root multiplicity over the algebraic closure.
-
-        Valid in characteristic 0 or p > deg.  Returns 0 for constants.
-        """
-        if self.degree <= 0:
-            return 0
-        p, m = self, 0
-        g = self.gcd(self.derivative())
-        while p.degree > 0:
-            m += 1
-            if g.degree == 0:
-                break
-            p, g = g, g.gcd(g.derivative())
-        return m
-
     def __repr__(self):
         if self.is_zero:
             return "Poly(0)"
@@ -610,32 +629,49 @@ def lagrange_interpolate(field, xs, ys):
 
 
 def resultant(f, g):
-    """Resultant of two polynomials over their common field."""
+    """Resultant of two polynomials over their common field.
+
+    Sub-resultant PRS (Cohen, GTM 138, Alg. 3.3.7) on integer vectors over
+    QQ (one common denominator per input) and on residues over GF(p); every
+    division in the loop is exact and taken from the field's kernel.
+    """
     if f.field != g.field:
         raise DomainError("mixed coefficient fields")
     field = f.field
     if f.is_zero or g.is_zero:
         return field.zero
-    acc = field.one
-    a, b = f, g
+    (a, da), (b, db) = field._ints(f.raw), field._ints(g.raw)
+    scale = da ** g.degree * db ** f.degree
+    exact = field._exact
+
+    def lift(h, x, e):
+        """h^(1-e) x^e, an exact quotient for e >= 1."""
+        return h if e == 0 else exact([x**e], h ** (e - 1))[0]
+
+    s = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            s = -1
+    lead, h = 1, 1
     while True:
-        da, db = a.degree, b.degree
-        if da == 0:
-            return acc * a.coeffs[0] ** db
-        if db == 0:
-            return acc * b.coeffs[0] ** da
-        if da < db:
-            if (da * db) % 2 == 1:
-                acc = -acc
-            a, b = b, a
-            continue
-        r = a % b
-        if r.is_zero:
-            return field.zero
-        if (da * db) % 2 == 1:
-            acc = -acc
-        acc = acc * b.lc ** (da - r.degree)
-        a, b = b, r
+        n = len(b) - 1
+        delta = len(a) - len(b)
+        if (len(a) - 1) * n % 2:
+            s = -s
+        r, lb = list(a), b[-1]
+        for k in range(len(r) - 1, n - 1, -1):  # lb^(delta+1) a = q b + r
+            c = r.pop()
+            r = [x * lb for x in r]
+            for i, y in enumerate(b[:n], k - n):
+                r[i] -= c * y
+        a, b = b, field._trim(exact(r, lead * h**delta))
+        lead = a[-1]
+        h = lift(h, lead, delta)
+        if len(b) <= 1:
+            break
+    h = lift(h, b[-1] if b else 0, len(a) - 1)
+    return field._scalars([s * h], 1, scale)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -736,21 +772,9 @@ class BinaryForm:
         d = self.degree
         if i + j > d:
             return None
-        nd = d - i - j
-        out = []
-        for k in range(nd + 1):
-            # source monomial X^(d-(k+j)) Y^(k+j): X-exponent d-k-j, Y-exponent k+j
-            c = self.coeffs[k + j]
-            xe, ye = d - k - j, k + j
-            m = 1
-            for t in range(i):
-                m *= xe - t
-            for t in range(j):
-                m *= ye - t
-            out.append(c * m)
-        if not any(out):
-            return None
-        return BinaryForm(self.field, nd, out)
+        ints, den = self.field._ints(self.coeffs)
+        out = self.field._scalars(_partial(ints, d, i, j), 1, den)
+        return BinaryForm(self.field, d - i - j, out) if any(out) else None
 
     def substitute(self, M):
         """f(aX + bY, cX + dY) for M = [[a, b], [c, d]]."""
@@ -758,24 +782,19 @@ class BinaryForm:
             raise DomainError("substitute needs a Mat2 over the same field")
         field = self.field
         d = self.degree
-        zero = field.zero
-        # coefficient lists indexed by Y-exponent
-        lin1 = [M.a, M.b]  # aX + bY
-        lin2 = [M.c, M.d]  # cX + dY
-        # powers of the two linear forms
-        pow1 = [[field.one]]
-        pow2 = [[field.one]]
+        ints, den = field._ints(self.coeffs)
+        (a, b, c, e), mden = field._ints((M.a, M.b, M.c, M.d))
+        # powers of aX + bY and cX + dY, coefficient lists by Y-exponent
+        pow1, pow2 = [[1]], [[1]]
         for _ in range(d):
-            pow1.append(_convolve(pow1[-1], lin1, zero))
-            pow2.append(_convolve(pow2[-1], lin2, zero))
-        acc = [zero] * (d + 1)
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            term = _convolve(pow1[d - i], pow2[i], zero)
-            for k, t in enumerate(term):
-                acc[k] = acc[k] + c * t
-        return BinaryForm(field, d, acc)
+            pow1.append(_convolve(pow1[-1], (a, b), 0))
+            pow2.append(_convolve(pow2[-1], (c, e), 0))
+        acc = [0] * (d + 1)
+        for i, x in enumerate(ints):
+            if x:
+                for k, t in enumerate(_convolve(pow1[d - i], pow2[i], 0)):
+                    acc[k] += x * t
+        return BinaryForm(field, d, field._scalars(acc, 1, den * mden**d))
 
     def __repr__(self):
         d = self.degree
@@ -786,12 +805,22 @@ class BinaryForm:
         return "BinaryForm(" + " + ".join(parts) + ")"
 
 
+def _partial(ints, d, i, j):
+    """Integer coefficients of d^(i+j) F / dX^i dY^j for a form F of degree
+    d with coefficients ints (ints[k] goes with X^(d-k) Y^k)."""
+    return [ints[k + j] * perm(d - k - j, i) * perm(k + j, j)
+            for k in range(d - i - j + 1)]
+
+
 def transvectant(f, g, r):
     """r-th transvectant (f, g)^r of two binary forms.
 
-    Uses the factorial prefactor (m-r)!(n-r)!/(n! m!) computed in QQ and
-    mapped into the coefficient field; degree-0 results come back as a
-    scalar.
+    The sum over k of (-1)^k C(r, k) d^r f/dX^(r-k)dY^k * d^r g/dX^k dY^(r-k)
+    runs on the integer coefficient vectors of f and g and is scaled once,
+    by the factorial prefactor (m-r)!(n-r)!/(n! m!) over the two common
+    denominators; over GF(p) that raises CharacteristicError when p divides
+    the prefactor's denominator.  Degree-0 results, and results that vanish
+    identically, come back as a scalar.
     """
     if not isinstance(f, BinaryForm) or not isinstance(g, BinaryForm):
         raise DomainError("transvectant expects binary forms")
@@ -801,32 +830,20 @@ def transvectant(f, g, r):
     if r < 0 or r > min(n, m):
         raise DomainError(f"transvection order {r} exceeds min degree")
     field = f.field
+    (a, da), (b, db) = field._ints(f.coeffs), field._ints(g.coeffs)
+    terms = [
+        _convolve([(-1) ** k * comb(r, k) * x for x in _partial(a, n, r - k, k)],
+                  _partial(b, m, k, r - k), 0)
+        for k in range(r + 1)
+    ]
     pref = Fraction(factorial(m - r) * factorial(n - r), factorial(n) * factorial(m))
-    out_deg = n + m - 2 * r
-    acc = [field.zero] * (out_deg + 1)
-    for k in range(r + 1):
-        df = f.diff_xy(r - k, k)
-        dg = g.diff_xy(k, r - k)
-        if df is None or dg is None:
-            continue
-        sign = -1 if k % 2 else 1
-        c = sign * _binom(r, k)
-        prod = df * dg
-        for idx, v in enumerate(prod.coeffs):
-            acc[idx] = acc[idx] + v * c
-    scale = field.from_fraction(pref)  # CharacteristicError if p divides denom
-    acc = [a * scale for a in acc]
-    if out_deg == 0:
+    acc = field._scalars([sum(col) for col in zip(*terms)],
+                         pref.numerator, pref.denominator * da * db)
+    if len(acc) == 1:
         return acc[0]
     if not any(acc):
-        # transvectants can vanish identically; keep form semantics by
-        # returning the scalar zero in that case as well
         return field.zero
-    return BinaryForm(field, out_deg, acc)
-
-
-def _binom(n, k):
-    return factorial(n) // (factorial(k) * factorial(n - k))
+    return BinaryForm(field, n + m - 2 * r, acc)
 
 
 def discriminant(form):

@@ -37,15 +37,13 @@ _J6_FROM_C = Fraction(-562500)
 
 
 def _tv(f, g, r):
-    """Transvectant that propagates degenerate (identically zero) covariants."""
-    if not isinstance(f, BinaryForm) or not isinstance(g, BinaryForm):
-        return None
-    t = transvectant(f, g, r)
-    return t
-
-
-def _scalar(field, t):
-    return field.zero if t is None else t
+    """Transvectant of two covariants; a covariant that vanished
+    identically is the scalar zero, and so is every transvectant of it."""
+    if not isinstance(f, BinaryForm):
+        return f
+    if not isinstance(g, BinaryForm):
+        return g
+    return transvectant(f, g, r)
 
 
 @dataclass(frozen=True)
@@ -100,16 +98,15 @@ def clebsch_sextic(f):
     """Clebsch invariants (A, B, C, D) of a binary sextic."""
     if not isinstance(f, BinaryForm) or f.degree != 6:
         raise DomainError("clebsch_sextic needs a binary sextic")
-    field = f.field
     ff4 = _tv(f, f, 4)
-    A = _scalar(field, _tv(f, f, 6))
-    B = _scalar(field, _tv(ff4, ff4, 4))
+    A = _tv(f, f, 6)
+    B = _tv(ff4, ff4, 4)
     delta = _tv(ff4, ff4, 2)
-    C = _scalar(field, _tv(ff4, delta, 4))
+    C = _tv(ff4, delta, 4)
     y1 = _tv(f, ff4, 4)
     y2 = _tv(ff4, y1, 2)
     y3 = _tv(ff4, y2, 2)
-    D = _scalar(field, _tv(y3, y1, 2))
+    D = _tv(y3, y1, 2)
     return A, B, C, D
 
 
@@ -147,15 +144,15 @@ def octavic_invariants(f):
     pp = _tv(g, k, 4)
     q = _tv(g, h, 4)
     fr = field.from_fraction
-    J2 = fr(Fraction(2**2 * 5 * 7)) * _scalar(field, _tv(f, f, 8))
-    J3 = fr(Fraction(2**4 * 5**2 * 7**3, 3)) * _scalar(field, _tv(f, g, 8))
-    J4 = fr(Fraction(2**9 * 3 * 7**4)) * _scalar(field, _tv(k, k, 4))
-    J5 = fr(Fraction(2**9 * 5 * 7**5)) * _scalar(field, _tv(m, k, 4))
-    J6 = fr(Fraction(2**14 * 3**2 * 7**6)) * _scalar(field, _tv(k, h, 4))
-    J7 = fr(Fraction(2**14 * 3 * 5 * 7**7)) * _scalar(field, _tv(m, h, 4))
-    J8 = fr(Fraction(2**17 * 3 * 5**2 * 7**9)) * _scalar(field, _tv(pp, h, 4))
-    J9 = fr(Fraction(2**19 * 3**2 * 5 * 7**9)) * _scalar(field, _tv(n, h, 4))
-    J10 = fr(Fraction(2**22 * 3**2 * 5**2 * 7**11)) * _scalar(field, _tv(q, h, 4))
+    J2 = fr(Fraction(2**2 * 5 * 7)) * _tv(f, f, 8)
+    J3 = fr(Fraction(2**4 * 5**2 * 7**3, 3)) * _tv(f, g, 8)
+    J4 = fr(Fraction(2**9 * 3 * 7**4)) * _tv(k, k, 4)
+    J5 = fr(Fraction(2**9 * 5 * 7**5)) * _tv(m, k, 4)
+    J6 = fr(Fraction(2**14 * 3**2 * 7**6)) * _tv(k, h, 4)
+    J7 = fr(Fraction(2**14 * 3 * 5 * 7**7)) * _tv(m, h, 4)
+    J8 = fr(Fraction(2**17 * 3 * 5**2 * 7**9)) * _tv(pp, h, 4)
+    J9 = fr(Fraction(2**19 * 3**2 * 5 * 7**9)) * _tv(n, h, 4)
+    J10 = fr(Fraction(2**22 * 3**2 * 5**2 * 7**11)) * _tv(q, h, 4)
     return OctavicInvariants(J2, J3, J4, J5, J6, J7, J8, J9, J10)
 
 

@@ -143,6 +143,15 @@ def test_poly_eval_and_derivative():
     assert p.derivative().coeffs == (Fraction(-2), Fraction(0), Fraction(3))
 
 
+def test_poly_negative_power_raises():
+    # used to loop forever: e >>= 1 stays -1
+    with pytest.raises(DomainError):
+        Poly(QQ, [1, 1]) ** -1
+    with pytest.raises(DomainError):
+        Poly(GF(7), [0, 1]) ** -3
+    assert Poly(QQ, [1, 1]) ** 0 == Poly.one(QQ)
+
+
 def _sylvester_resultant(f, g):
     # independent oracle: determinant of the Sylvester matrix
     m, n = f.degree, g.degree

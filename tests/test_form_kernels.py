@@ -1,0 +1,323 @@
+"""The binary-form kernels (transvectant, substitute, resultant and the
+discriminant built on them) against oracles on public scalars: a Fraction /
+GFElement transvectant built from partial derivatives, the termwise linear
+substitution, and the Euclidean resultant on Poly.  Results must agree
+value for value and type for type, errors by type and message."""
+
+import io
+import json
+import os
+from fractions import Fraction
+from math import comb, factorial
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from superelliptic.algebra import (
+    GF,
+    QQ,
+    BinaryForm,
+    Mat2,
+    Poly,
+    PrimeField,
+    discriminant,
+    resultant,
+    transvectant,
+)
+from superelliptic.cli import main
+from superelliptic.errors import CharacteristicError, DomainError
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def _oracle_diff_xy(f, i, j):
+    """d^(i+j) f / dX^i dY^j as a list of public scalars, or None if zero."""
+    d = f.degree
+    out = []
+    for k in range(d - i - j + 1):
+        xe, ye = d - k - j, k + j
+        m = 1
+        for t in range(i):
+            m *= xe - t
+        for t in range(j):
+            m *= ye - t
+        out.append(f.coeffs[k + j] * m)
+    return out if any(out) else None
+
+
+def _oracle_mul(a, b, zero):
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _oracle_transvectant(f, g, r):
+    n, m = f.degree, g.degree
+    field = f.field
+    out_deg = n + m - 2 * r
+    acc = [field.zero] * (out_deg + 1)
+    for k in range(r + 1):
+        df, dg = _oracle_diff_xy(f, r - k, k), _oracle_diff_xy(g, k, r - k)
+        if df is None or dg is None:
+            continue
+        sign = -1 if k % 2 else 1
+        c = sign * comb(r, k)
+        for idx, v in enumerate(_oracle_mul(df, dg, field.zero)):
+            acc[idx] = acc[idx] + v * c
+    pref = Fraction(factorial(m - r) * factorial(n - r), factorial(n) * factorial(m))
+    scale = field.from_fraction(pref)
+    acc = [a * scale for a in acc]
+    if out_deg == 0:
+        return acc[0]
+    if not any(acc):
+        return field.zero
+    return BinaryForm(field, out_deg, acc)
+
+
+def _oracle_substitute(f, M):
+    field, d = f.field, f.degree
+    pow1, pow2 = [[field.one]], [[field.one]]
+    for _ in range(d):
+        pow1.append(_oracle_mul(pow1[-1], [M.a, M.b], field.zero))
+        pow2.append(_oracle_mul(pow2[-1], [M.c, M.d], field.zero))
+    acc = [field.zero] * (d + 1)
+    for i, c in enumerate(f.coeffs):
+        for k, t in enumerate(_oracle_mul(pow1[d - i], pow2[i], field.zero)):
+            acc[k] = acc[k] + c * t
+    return BinaryForm(field, d, acc)
+
+
+def _euclid_resultant(f, g):
+    field = f.field
+    if f.is_zero or g.is_zero:
+        return field.zero
+    acc = field.one
+    a, b = f, g
+    while True:
+        da, db = a.degree, b.degree
+        if da == 0:
+            return acc * a.coeffs[0] ** db
+        if db == 0:
+            return acc * b.coeffs[0] ** da
+        if da < db:
+            if (da * db) % 2 == 1:
+                acc = -acc
+            a, b = b, a
+            continue
+        r = a % b
+        if r.is_zero:
+            return field.zero
+        if (da * db) % 2 == 1:
+            acc = -acc
+        acc = acc * b.lc ** (da - r.degree)
+        a, b = b, r
+
+
+def _oracle_discriminant(form):
+    field, d, f = form.field, form.degree, form
+    if not f.coeffs[0]:
+        for c in range(1, d + 2):
+            if isinstance(field, PrimeField) and c >= field.p:
+                raise CharacteristicError(
+                    f"GF({field.p}) too small to renormalize a degree {d} form")
+            cand = _oracle_substitute(f, Mat2(field, 1, 0, c, 1))
+            if cand.coeffs[0]:
+                f = cand
+                break
+    p = f.to_poly()
+    res = _euclid_resultant(p, p.derivative())
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    return field.of(sign) * res / p.lc
+
+
+def _outcome(fn, *args):
+    """(value, type) of fn(*args), or (error type, message)."""
+    try:
+        out = fn(*args)
+    except (CharacteristicError, DomainError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, BinaryForm):
+        return out, [type(c) for c in out.coeffs]
+    return out, type(out)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+PRIMES = (11, 1009, 2**61 - 1)
+
+
+@st.composite
+def fields(draw, primes=PRIMES):
+    p = draw(st.sampled_from((0,) + tuple(primes)))
+    return QQ if p == 0 else GF(p)
+
+
+@st.composite
+def scalars(draw, field):
+    if field == QQ:
+        num = draw(st.one_of(st.integers(-9, 9), st.integers(-10**30, 10**30)))
+        den = draw(st.sampled_from((1, 1, 2, 3, 7, 12, 10**9 + 7)))
+        return Fraction(num, den)
+    return draw(st.one_of(st.integers(0, 3), st.integers(0, field.p - 1)))
+
+
+@st.composite
+def forms(draw, field, degree):
+    cs = draw(st.lists(scalars(field), min_size=degree + 1, max_size=degree + 1))
+    if not any(field.of(c) for c in cs):
+        cs[draw(st.integers(0, degree))] = 1
+    return BinaryForm(field, degree, cs)
+
+
+@st.composite
+def transvectant_cases(draw, primes=PRIMES, max_degree=9):
+    field = draw(fields(primes))
+    n = draw(st.integers(0, max_degree))
+    f = draw(forms(field, n))
+    kind = draw(st.sampled_from(("other", "equal-degree", "self")))
+    if kind == "self":
+        g = f  # odd r gives a form that vanishes identically
+    else:
+        m = n if kind == "equal-degree" else draw(st.integers(0, max_degree))
+        g = draw(forms(field, m))
+    r = draw(st.integers(0, min(n, g.degree)))
+    return f, g, r
+
+
+@st.composite
+def matrices(draw, field):
+    a, b, c, d = (draw(scalars(field)) for _ in range(4))
+    if not field.of(a) * field.of(d) - field.of(b) * field.of(c):
+        a, c, d = 1, 0, 1
+    return Mat2(field, a, b, c, d)
+
+
+@st.composite
+def poly_pairs(draw):
+    field = draw(fields())
+    polys = []
+    for _ in range(2):
+        deg = draw(st.integers(-1, 9))
+        polys.append(Poly(field, draw(st.lists(scalars(field), min_size=deg + 1,
+                                              max_size=deg + 1))))
+    if draw(st.booleans()):  # a forced common factor
+        deg = draw(st.integers(1, 3))
+        h = Poly(field, draw(st.lists(scalars(field), min_size=deg, max_size=deg)) + [1])
+        polys = [p * h for p in polys]
+    return tuple(polys)
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@given(transvectant_cases())
+@settings(max_examples=250, deadline=None)
+def test_transvectant_matches_oracle(case):
+    f, g, r = case
+    assert _outcome(transvectant, f, g, r) == _outcome(_oracle_transvectant, f, g, r)
+
+
+@given(transvectant_cases(primes=(3, 5, 7, 11), max_degree=12))
+@settings(max_examples=150, deadline=None)
+def test_transvectant_characteristic_errors_match_oracle(case):
+    # small p divides the prefactor's denominator once n or m reaches p
+    f, g, r = case
+    assert _outcome(transvectant, f, g, r) == _outcome(_oracle_transvectant, f, g, r)
+
+
+@given(transvectant_cases())
+@settings(max_examples=100, deadline=None)
+def test_diff_xy_matches_oracle(case):
+    f, _, r = case
+    for i in range(r + 1):
+        got = f.diff_xy(i, r - i)
+        want = _oracle_diff_xy(f, i, r - i)
+        assert (None if got is None else list(got.coeffs)) == want
+        if got is not None:
+            assert {type(c) for c in got.coeffs} == {type(want[0])}
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_substitute_matches_oracle(data):
+    field = data.draw(fields())
+    f = data.draw(forms(field, data.draw(st.integers(0, 9))))
+    M = data.draw(matrices(field))
+    assert _outcome(f.substitute, M) == _outcome(_oracle_substitute, f, M)
+
+
+@given(poly_pairs())
+@settings(max_examples=250, deadline=None)
+def test_resultant_matches_euclidean_oracle(pair):
+    f, g = pair
+    assert _outcome(resultant, f, g) == _outcome(_euclid_resultant, f, g)
+    assert _outcome(resultant, g, f) == _outcome(_euclid_resultant, g, f)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_discriminant_matches_oracle(data):
+    field = data.draw(fields(primes=(3, 5, 7) + PRIMES))
+    d = data.draw(st.integers(2, 9))
+    f = data.draw(forms(field, d))
+    if data.draw(st.booleans()):  # roots at infinity take the renormalisation
+        cs = list(f.coeffs)
+        cs[0] = 0
+        cs[1] = cs[1] if data.draw(st.booleans()) else 0
+        if any(cs):
+            f = BinaryForm(field, d, cs)
+    assert _outcome(discriminant, f) == _outcome(_oracle_discriminant, f)
+
+
+# ---------------------------------------------------------------------------
+# edge cases
+
+
+def test_degree_zero_and_vanishing_transvectants():
+    F = GF(1009)
+    c = BinaryForm(QQ, 0, [Fraction(3, 4)])
+    assert transvectant(c, c, 0) == Fraction(9, 16)
+    f = BinaryForm(F, 3, [1, 2, 3, 4])
+    t = transvectant(f, f, 3)  # odd order: (f, f)^3 = 0
+    assert t == 0 and type(t) is type(F.zero)
+    q = BinaryForm(QQ, 4, [1, 0, 0, 0, 0])  # X^4: (X^4, X^4)^2 = 0
+    assert transvectant(q, q, 2) == 0 and isinstance(transvectant(q, q, 2), Fraction)
+
+
+def test_characteristic_error_message():
+    f = BinaryForm(GF(5), 6, [1, 0, 0, 0, 0, 0, 1])
+    with pytest.raises(CharacteristicError, match="denominator 518400 not invertible mod 5"):
+        transvectant(f, f, 6)
+
+
+def test_discriminant_renormalisation_error():
+    f = BinaryForm(GF(3), 4, [0, 1, 0, -1, 0])  # XY(X - Y)(X + Y): every point a root
+    with pytest.raises(CharacteristicError, match="GF\\(3\\) too small"):
+        discriminant(f)
+
+
+def test_resultant_mixed_fields():
+    with pytest.raises(DomainError, match="mixed coefficient fields"):
+        resultant(Poly(QQ, [1, 1]), Poly(GF(7), [1, 1]))
+
+
+# ---------------------------------------------------------------------------
+# pinned CLI output: captured before the kernels moved onto integer vectors
+
+
+def _pinned():
+    path = os.path.join(os.path.dirname(__file__), "data", "pinned_invariants_cli.jsonl")
+    with open(path) as fh:
+        return [json.loads(line) for line in fh]
+
+
+@pytest.mark.parametrize("case", _pinned(), ids=lambda c: c["argv"][0])
+def test_invariant_commands_pinned_stdout(case):
+    buf = io.StringIO()
+    assert main(case["argv"], out=buf) == case["exit"]
+    assert buf.getvalue() == case["stdout"]
