@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd
 
 from .algebra import Poly, QQ
-from .curves import SuperellipticCurve
+from .curves import SuperellipticCurve, genus_formula
 from .errors import (
     DomainError,
     NotInAtlasError,
@@ -35,14 +35,7 @@ def genus(n, d):
     """Genus of y^n = f(x) with separable f of degree d > n."""
     if n < 2 or d <= n:
         raise DomainError("genus formula needs d > n >= 2")
-    return _genus_value(n, d)
-
-
-def _genus_value(n, d):
-    twog = n * d - n - d - gcd(n, d) + 2
-    if twog % 2:
-        raise AssertionError("genus formula parity broken")  # pragma: no cover
-    return twog // 2
+    return genus_formula(n, d)
 
 
 @dataclass(frozen=True)
@@ -470,10 +463,8 @@ def split_jacobian(n, m, delta):
 
 def quotient_genus_triple(n, m, delta):
     """(g, g1, g2) of the covered curve and its two quotients."""
-    g = 1 + Fraction(n * delta * m - n - delta * m - gcd(m * delta, n), 2)
-    g1 = 1 + Fraction(n * delta - n - delta - gcd(delta, n), 2)
-    g2 = 1 + Fraction(n * (delta + 1) - n - (delta + 1) - gcd(delta + 1, n), 2)
-    return int(g), int(g1), int(g2)
+    return (genus_formula(n, delta * m), genus_formula(n, delta),
+            genus_formula(n, delta + 1))
 
 
 def quotient_equations(curve):

@@ -1,9 +1,18 @@
 """Command line surface: JSON in, JSON out.
 
+Each subcommand is declared once, by `command` on its handler: its name
+and its parameters, each with a kind (int, str, doc for a JSON document,
+list) and required or optional.  The argparse flags and the one check
+that flag values and batch-line values pass alike are derived from it:
+an integer is a JSON int or a decimal string (never a bool or a float),
+a list is a JSON list, a doc or list flag is JSON text, and a missing or
+null required parameter is a parse error.
+
 Exit codes: 0 success, 2 usage error, 3 domain error (singular curve,
-unsupported case, bad mathematical input), 4 parse error.  Batch mode
-(--input file.jsonl) emits one output line per input line; a failing
-line becomes an error object and never aborts the batch.
+unsupported case, bad mathematical input), 4 parse error (bad JSON or a
+bad value).  Batch mode (--input file.jsonl) emits one output line per
+input line; a failing line becomes an error object and never aborts the
+batch.
 """
 
 import argparse
@@ -23,13 +32,45 @@ EXIT_PARSE = 4
 
 
 # ---------------------------------------------------------------------------
+# parameter kinds: (check, whether a flag's text is JSON)
+
+
+def int_in(v, name):
+    """An integer: a JSON int or a decimal string, never a bool or a float."""
+    if isinstance(v, str):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    elif isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ParseError(f"{name} must be an integer, got {v!r}")
+
+
+def list_in(v, name):
+    if not isinstance(v, list):
+        raise ParseError(f"{name} must be a list, got {v!r}")
+    return v
+
+
+def str_in(v, name):
+    if not isinstance(v, str):
+        raise ParseError(f"{name} must be a string, got {v!r}")
+    return v
+
+
+KINDS = {"int": (int_in, False), "str": (str_in, False),
+         "doc": (lambda v, name: v, True), "list": (list_in, True)}
+
+
+# ---------------------------------------------------------------------------
 # scalar and document (de)serialization
 
 
 def parse_field(name):
     if name == "Q":
         return QQ
-    if name.startswith("GF(") and name.endswith(")"):
+    if isinstance(name, str) and name.startswith("GF(") and name.endswith(")"):
         try:
             p = int(name[3:-1])
         except ValueError:
@@ -81,11 +122,7 @@ def parse_curve(doc):
 
 
 def curve_out(curve):
-    return {
-        "n": curve.n,
-        "f": poly_out(curve.f),
-        "field": field_name(curve.field),
-    }
+    return {"n": curve.n, "f": poly_out(curve.f), "field": field_name(curve.field)}
 
 
 def parse_hyper(doc):
@@ -104,8 +141,8 @@ def parse_point(doc):
     if not isinstance(doc, dict):
         raise ParseError("weighted point must be a JSON object")
     try:
-        coords = [scalar_in(QQ, c) for c in doc["coords"]]
-        ws = [int_in(w, "weights") for w in doc["weights"]]
+        coords = [scalar_in(QQ, c) for c in list_in(doc["coords"], "coords")]
+        ws = [int_in(w, "weights") for w in list_in(doc["weights"], "weights")]
     except KeyError as e:
         raise ParseError(f"point document missing key {e}")
     try:
@@ -115,98 +152,74 @@ def parse_point(doc):
 
 
 def point_out(pt):
-    return {
-        "coords": [scalar_out(c) for c in pt.coords],
-        "weights": list(pt.weights),
-    }
+    return {"coords": [scalar_out(c) for c in pt.coords], "weights": list(pt.weights)}
 
 
 def height_out(h):
-    return {
-        "radicand": scalar_out(h.radicand),
-        "root": h.root,
-        "approx": h.approx(),
-    }
+    return {"radicand": scalar_out(h.radicand), "root": h.root, "approx": h.approx()}
+
+
+def divisor_in(C, u, v):
+    return jacobian.mumford_validate(poly_in(C.field, u), poly_in(C.field, v), C)
 
 
 def divisor_out(d):
     return {"u": poly_out(d.u), "v": poly_out(d.v)}
 
 
-def int_in(v, name):
-    """int(v) for a parameter, raising ParseError instead of ValueError."""
-    try:
-        return int(v)
-    except (TypeError, ValueError):
-        raise ParseError(f"{name} must be an integer, got {v!r}")
-
-
-def json_arg(s):
-    try:
-        return json.loads(s)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad JSON argument: {e}")
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers; each takes a dict of parameters and returns a dict
+# subcommands: each handler takes its checked parameters and returns a dict
+
+HANDLERS = {}  # subcommand -> handler, looked up per call
+PARAMS = {}    # subcommand -> {parameter: (check, json flag, required)}
 
 
-def _need(params, *keys):
-    for k in keys:
-        if params.get(k) is None:
-            raise ParseError(f"missing required parameter {k!r}")
-    return [params[k] for k in keys]
+def command(name, spec):
+    """Declare subcommand `name`; spec lists its parameters as "key:kind",
+    with "?" after the kind of an optional one."""
+    def register(handler):
+        HANDLERS[name] = handler
+        PARAMS[name] = {}
+        for item in spec.split():
+            key, kind = item.split(":")
+            PARAMS[name][key] = (*KINDS[kind.rstrip("?")], not kind.endswith("?"))
+        return handler
+    return register
 
 
-def _opt_int(params, key):
-    v = params.get(key)
-    return None if v is None else int_in(v, key)
+@command("genus", "n:int d:int")
+def cmd_genus(p):
+    return {"g": atlas.genus(p["n"], p["d"])}
 
 
-def cmd_genus(params):
-    n, d = _need(params, "n", "d")
-    return {"g": atlas.genus(int_in(n, "n"), int_in(d, "d"))}
+@command("gap-basis", "n:int d:int q:int")
+def cmd_gap_basis(p):
+    basis = atlas.weierstrass_gap_basis(p["n"], p["d"], p["q"])
+    return {"S": sorted([list(ab) for ab in basis.S]), "d_q": basis.d_q,
+            "weight": atlas.branch_weight(p["n"], p["d"], p["q"])}
 
 
-def cmd_gap_basis(params):
-    n, d, q = _need(params, "n", "d", "q")
-    n, d, q = int_in(n, "n"), int_in(d, "d"), int_in(q, "q")
-    basis = atlas.weierstrass_gap_basis(n, d, q)
-    return {
-        "S": sorted([list(ab) for ab in basis.S]),
-        "d_q": basis.d_q,
-        "weight": atlas.branch_weight(n, d, q),
-    }
-
-
-def cmd_invariants(params):
-    (curve,) = _need(params, "curve")
-    curve = parse_curve(curve)
+@command("invariants", "curve:doc")
+def cmd_invariants(p):
+    curve = parse_curve(p["curve"])
     if curve.n != 2:
         raise DomainError("invariants are implemented for n = 2")
     form = curve.binary_form()
     if form.degree == 6:
         inv = invariants.igusa_sextic(form)
-        return {
-            "kind": "sextic",
-            "J2": scalar_out(inv.J2), "J4": scalar_out(inv.J4),
-            "J6": scalar_out(inv.J6), "J10": scalar_out(inv.J10),
-            "A": scalar_out(inv.A), "B": scalar_out(inv.B),
-            "C": scalar_out(inv.C), "D": scalar_out(inv.D),
-            "Afrak": scalar_out(inv.Afrak), "Bfrak": scalar_out(inv.Bfrak),
-            "Cfrak": scalar_out(inv.Cfrak), "Dfrak": scalar_out(inv.Dfrak),
-        }
+        return {"kind": "sextic", **{k: scalar_out(getattr(inv, k)) for k in (
+            "J2", "J4", "J6", "J10", "A", "B", "C", "D",
+            "Afrak", "Bfrak", "Cfrak", "Dfrak")}}
     inv = invariants.octavic_invariants(form)
     return {"kind": "octavic", **{
         f"J{i}": scalar_out(v) for i, v in zip(range(2, 11), inv.tuple())
     }}
 
 
-def cmd_equivalent(params):
-    c1, c2 = _need(params, "curve1", "curve2")
-    f1 = parse_curve(c1).binary_form()
-    f2 = parse_curve(c2).binary_form()
+@command("equivalent", "curve1:doc curve2:doc")
+def cmd_equivalent(p):
+    f1 = parse_curve(p["curve1"]).binary_form()
+    f2 = parse_curve(p["curve2"]).binary_form()
     if f1.degree != f2.degree:
         return {"equivalent": False, "scale": None}
     if f1.degree == 6:
@@ -219,30 +232,30 @@ def cmd_equivalent(params):
             "scale": scalar_out(r) if r is not None else None}
 
 
-def cmd_moduli_point(params):
-    (curve,) = _need(params, "curve")
-    pt = weighted.moduli_point(parse_curve(curve))
+@command("moduli-point", "curve:doc")
+def cmd_moduli_point(p):
+    pt = weighted.moduli_point(parse_curve(p["curve"]))
     out = point_out(pt)
     if pt.coords and isinstance(pt.coords[0], (int, Fraction)):
         out["normalized"] = point_out(weighted.normalize(pt))
     return out
 
 
-def cmd_height(params):
-    (point,) = _need(params, "point")
-    pt = parse_point(point)
+@command("height", "point:doc")
+def cmd_height(p):
+    pt = parse_point(p["point"])
     return {"height": height_out(weighted.weighted_height(pt)),
             "normalized": point_out(weighted.normalize(pt))}
 
 
-def cmd_wgcd(params):
-    (point,) = _need(params, "point")
-    return {"wgcd": weighted.wgcd(parse_point(point))}
+@command("wgcd", "point:doc")
+def cmd_wgcd(p):
+    return {"wgcd": weighted.wgcd(parse_point(p["point"]))}
 
 
-def cmd_minimal(params):
-    (curve,) = _need(params, "curve")
-    rep = minimal.superelliptic_minimal(parse_curve(curve))
+@command("minimal", "curve:doc")
+def cmd_minimal(p):
+    rep = minimal.superelliptic_minimal(parse_curve(p["curve"]))
     return {
         "curve": curve_out(rep.curve),
         "lambda": rep.lam,
@@ -257,30 +270,27 @@ def cmd_minimal(params):
     }
 
 
-def cmd_laska(params):
-    (model,) = _need(params, "model")
-    if not (isinstance(model, list) and len(model) == 5):
+@command("laska", "model:list")
+def cmd_laska(p):
+    if len(p["model"]) != 5:
         raise ParseError("model must be [a1, a2, a3, a4, a6]")
-    try:
-        e = minimal.EllipticModel(*[int(a) for a in model])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad model: {exc}")
-    rep = minimal.laska_reduce(e)
+    rep = minimal.laska_reduce(
+        minimal.EllipticModel(*[int_in(a, "model entry") for a in p["model"]]))
     return {
         "model": list(rep.model.ainvs()),
         "u": rep.u, "r": rep.r, "s": rep.s, "t": rep.t,
         "discriminant_in": rep.discriminant_in,
         "discriminant_out": rep.discriminant_out,
-        "valuations": {str(p): list(v) for p, v in rep.valuations.items()},
+        "valuations": {str(q): list(v) for q, v in rep.valuations.items()},
     }
 
 
-def cmd_aut_lookup(params):
-    (g,) = _need(params, "g")
+@command("aut-lookup",
+         "g:int n:int? m:int? reduced_group:str? dimension:int? case:int?")
+def cmd_aut_lookup(p):
     recs = atlas.aut_lookup(
-        int_in(g, "g"), n=_opt_int(params, "n"), m=_opt_int(params, "m"),
-        reduced_group=params.get("reduced_group"),
-        dimension=_opt_int(params, "dimension"), case=_opt_int(params, "case"),
+        p["g"], n=p["n"], m=p["m"], reduced_group=p["reduced_group"],
+        dimension=p["dimension"], case=p["case"],
     )
     return {"atlas_version": atlas.ATLAS_VERSION, "records": [
         {
@@ -293,96 +303,71 @@ def cmd_aut_lookup(params):
     ]}
 
 
-def cmd_family_eq(params):
-    case, n = _need(params, "case", "n")
+@command("family-eq", "case:int n:int m:int? params:list?")
+def cmd_family_eq(p):
     curve = atlas.family_equation(
-        int_in(case, "case"), int_in(n, "n"), params.get("params") or [],
-        m=_opt_int(params, "m"),
+        p["case"], p["n"], [scalar_in(QQ, c) for c in p["params"] or []], m=p["m"],
     )
     return {"curve": curve_out(curve), "genus": curve.genus()}
 
 
-def cmd_split(params):
-    n, m, delta = _need(params, "n", "m", "delta")
-    res = atlas.split_jacobian(int_in(n, "n"), int_in(m, "m"), int_in(delta, "delta"))
+@command("split", "n:int m:int delta:int")
+def cmd_split(p):
+    res = atlas.split_jacobian(p["n"], p["m"], p["delta"])
     return {"decomposes": res.decomposes, "lhs": res.lhs, "rhs": res.rhs}
 
 
-def cmd_jac_validate(params):
-    curve, u, v = _need(params, "curve", "u", "v")
-    C = parse_hyper(curve)
+@command("jac-validate", "curve:doc u:doc v:doc")
+def cmd_jac_validate(p):
     try:
-        d = jacobian.mumford_validate(
-            poly_in(C.field, u), poly_in(C.field, v), C
-        )
+        d = divisor_in(parse_hyper(p["curve"]), p["u"], p["v"])
     except jacobian.MumfordError as e:
         return {"valid": False, "condition": e.condition, "message": str(e)}
     return {"valid": True, "divisor": divisor_out(d)}
 
 
-def cmd_jac_add(params):
-    curve, d1, d2 = _need(params, "curve", "d1", "d2")
-    C = parse_hyper(curve)
+@command("jac-add", "curve:doc d1:doc d2:doc method:str?")
+def cmd_jac_add(p):
+    C = parse_hyper(p["curve"])
 
     def parse_div(doc):
         if not (isinstance(doc, dict) and "u" in doc and "v" in doc):
             raise ParseError('divisor document must be an object with "u" and "v"')
-        return jacobian.mumford_validate(
-            poly_in(C.field, doc["u"]), poly_in(C.field, doc["v"]), C
-        )
+        return divisor_in(C, doc["u"], doc["v"])
 
-    D1, D2 = parse_div(d1), parse_div(d2)
-    if params.get("method") == "interpolation":
+    D1, D2 = parse_div(p["d1"]), parse_div(p["d2"])
+    if p["method"] == "interpolation":
         res = jacobian.interpolation_add_g2(D1, D2)
-        out = divisor_out(res.divisor)
-        out["fallback"] = res.used_fallback
-        return out
+        return {**divisor_out(res.divisor), "fallback": res.used_fallback}
     return divisor_out(jacobian.cantor_add(D1, D2))
 
 
-def cmd_jac_order(params):
-    (curve,) = _need(params, "curve")
-    data = jacobian.weil_data_g2(parse_hyper(curve))
+@command("jac-order", "curve:doc")
+def cmd_jac_order(p):
+    data = jacobian.weil_data_g2(parse_hyper(p["curve"]))
     return {"order": data.order, "N1": data.n1, "N2": data.n2,
             "a": data.a, "b": data.b, "q": data.q}
 
 
-def cmd_theta_census(params):
-    (g,) = _need(params, "g")
-    g = int_in(g, "g")
+@command("theta-census", "g:int")
+def cmd_theta_census(p):
+    g = p["g"]
+    vanishing = theta.vanishing_count_formula(g)  # refuses g < 1 first
     even, odd = theta.parity_census(g)
-    vanishing = theta.vanishing_even_thetanulls(g)
     return {
-        "even": even, "odd": odd,
-        "vanishing_even": len(vanishing),
-        "vanishing_sets": [list(t) for t in vanishing] if g <= 3 else None,
+        "even": even, "odd": odd, "vanishing_even": vanishing,
+        "vanishing_sets": ([list(t) for t in theta.vanishing_even_thetanulls(g)]
+                           if g <= 3 else None),
     }
 
 
-def cmd_gopel(params):
-    g, r = _need(params, "g", "r")
-    return {"count": theta.gopel_count(int_in(g, "g"), int_in(r, "r"))}
+@command("gopel", "g:int r:int")
+def cmd_gopel(p):
+    return {"count": theta.gopel_count(p["g"], p["r"])}
 
 
-HANDLERS = {
-    "genus": cmd_genus,
-    "gap-basis": cmd_gap_basis,
-    "invariants": cmd_invariants,
-    "equivalent": cmd_equivalent,
-    "moduli-point": cmd_moduli_point,
-    "height": cmd_height,
-    "wgcd": cmd_wgcd,
-    "minimal": cmd_minimal,
-    "laska": cmd_laska,
-    "aut-lookup": cmd_aut_lookup,
-    "family-eq": cmd_family_eq,
-    "split": cmd_split,
-    "jac-validate": cmd_jac_validate,
-    "jac-add": cmd_jac_add,
-    "jac-order": cmd_jac_order,
-    "theta-census": cmd_theta_census,
-    "gopel": cmd_gopel,
-}
+# ---------------------------------------------------------------------------
+# the parse boundary: flags, batch lines, checks and the error map
 
 
 def build_parser():
@@ -392,38 +377,53 @@ def build_parser():
     )
     ap.add_argument("--format", choices=("json", "pretty"), default="json")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, *flags):
+    for name, kinds in PARAMS.items():
         p = sub.add_parser(name)
         p.add_argument("--input", help="JSONL batch file; one args object per line")
-        p.add_argument(
-            "--format", dest="format", choices=("json", "pretty"),
-            default=argparse.SUPPRESS,
-        )
-        for flag, kind in flags:
-            p.add_argument(f"--{flag}", type=kind)
-        return p
-
-    add("genus", ("n", int), ("d", int))
-    add("gap-basis", ("n", int), ("d", int), ("q", int))
-    add("invariants", ("curve", json_arg))
-    add("equivalent", ("curve1", json_arg), ("curve2", json_arg))
-    add("moduli-point", ("curve", json_arg))
-    add("height", ("point", json_arg))
-    add("wgcd", ("point", json_arg))
-    add("minimal", ("curve", json_arg))
-    add("laska", ("model", json_arg))
-    add("aut-lookup", ("g", int), ("n", int), ("m", int),
-        ("reduced-group", str), ("dimension", int), ("case", int))
-    add("family-eq", ("case", int), ("n", int), ("m", int), ("params", json_arg))
-    add("split", ("n", int), ("m", int), ("delta", int))
-    add("jac-validate", ("curve", json_arg), ("u", json_arg), ("v", json_arg))
-    add("jac-add", ("curve", json_arg), ("d1", json_arg), ("d2", json_arg),
-        ("method", str))
-    add("jac-order", ("curve", json_arg))
-    add("theta-census", ("g", int))
-    add("gopel", ("g", int), ("r", int))
+        p.add_argument("--format", dest="format", choices=("json", "pretty"),
+                       default=argparse.SUPPRESS)
+        for key in kinds:
+            p.add_argument("--" + key.replace("_", "-"))
     return ap
+
+
+def _decode(text, what=""):
+    try:
+        return json.loads(text)
+    except ValueError as e:  # bad JSON, or an int past the int-to-str digit limit
+        raise ParseError(f"{what}{e}")
+
+
+def _check(kinds, args):
+    """The declared parameters, checked; absent optional ones are None."""
+    for key, (_, _, required) in kinds.items():
+        if required and args.get(key) is None:
+            raise ParseError(f"missing required parameter {key!r}")
+    return {key: None if args.get(key) is None else check(args[key], key)
+            for key, (check, _, _) in kinds.items()}
+
+
+def _error_obj(kind, exc):
+    return {"error": {"kind": kind, "message": str(exc)}}
+
+
+def _run(command, flags, line=None):
+    """(exit code, output object) of one call: the flags, with the keys of
+    the batch line `line` (JSON text) laid over them."""
+    try:
+        kinds = PARAMS[command]
+        args = {k: _decode(v, "bad JSON argument: ") if kinds[k][1] else v
+                for k, v in flags.items()}
+        if line is not None:
+            doc = _decode(line)
+            if not isinstance(doc, dict):
+                raise ParseError("batch line must be a JSON object")
+            args.update((k.replace("-", "_"), v) for k, v in doc.items())
+        return EXIT_OK, HANDLERS[command](_check(kinds, args))
+    except ParseError as e:
+        return EXIT_PARSE, _error_obj("parse", e)
+    except (DomainError, ZeroDivisionError) as e:
+        return EXIT_DOMAIN, _error_obj("domain", e)
 
 
 def _emit(obj, fmt, out):
@@ -431,11 +431,6 @@ def _emit(obj, fmt, out):
         out.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     else:
         out.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def _error_obj(exc):
-    kind = "parse" if isinstance(exc, ParseError) else "domain"
-    return {"error": {"kind": kind, "message": str(exc)}}
 
 
 _parser = None  # built by the first main call, then reused
@@ -450,44 +445,19 @@ def main(argv=None, out=None):
         ns = _parser.parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_USAGE
-    handler = HANDLERS[ns.command]
-    params = {
-        k.replace("-", "_"): v
-        for k, v in vars(ns).items()
-        if k not in ("command", "format", "input")
-    }
-    if ns.input:
-        try:
-            lines = open(ns.input).read().splitlines()
-        except OSError as e:
-            _emit({"error": {"kind": "io", "message": str(e)}}, ns.format, out)
-            return EXIT_USAGE
-        for line in lines:
-            if not line.strip():
-                _emit({}, ns.format, out)
-                continue
-            try:
-                doc = json.loads(line)
-                if not isinstance(doc, dict):
-                    raise ParseError("batch line must be a JSON object")
-                merged = dict(params)
-                for k, v in doc.items():
-                    merged[k.replace("-", "_")] = v
-                _emit(handler(merged), ns.format, out)
-            except (ParseError, json.JSONDecodeError) as e:
-                _emit(_error_obj(ParseError(str(e))), ns.format, out)
-            except (DomainError, ZeroDivisionError) as e:
-                _emit(_error_obj(e), ns.format, out)
-        return EXIT_OK
+    flags = {k: v for k, v in vars(ns).items() if k in PARAMS[ns.command] and v is not None}
+    if not ns.input:
+        code, obj = _run(ns.command, flags)
+        _emit(obj, ns.format, out)
+        return code
     try:
-        result = handler(params)
-    except ParseError as e:
-        _emit(_error_obj(e), ns.format, out)
-        return EXIT_PARSE
-    except (DomainError, ZeroDivisionError) as e:
-        _emit(_error_obj(e), ns.format, out)
-        return EXIT_DOMAIN
-    _emit(result, ns.format, out)
+        with open(ns.input) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        _emit(_error_obj("io", e), ns.format, out)
+        return EXIT_USAGE
+    for line in lines:
+        _emit(_run(ns.command, flags, line)[1] if line.strip() else {}, ns.format, out)
     return EXIT_OK
 
 

@@ -7,9 +7,15 @@ at infinity, which is the classical convention for genus 2 and 3.
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 from .algebra import BinaryForm, Poly, QQ, discriminant
 from .errors import DomainError, SingularCurveError
+
+
+def genus_formula(n, d):
+    """Genus of y^n = f(x) for separable f of degree d (Riemann-Hurwitz)."""
+    return (n * d - n - d - gcd(n, d) + 2) // 2
 
 
 @dataclass(frozen=True)
@@ -32,10 +38,7 @@ class SuperellipticCurve:
         return self.f.degree
 
     def genus(self):
-        from math import gcd
-        n, d = self.n, self.form_degree()
-        twog = n * d - n - d - gcd(n, d) + 2
-        return twog // 2
+        return genus_formula(self.n, self.form_degree())
 
     def form_degree(self):
         """Even degree of the associated binary form (6 or 8 for n = 2)."""

@@ -12,7 +12,21 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
-from .errors import DomainError
+from .errors import DomainError, UnsupportedCaseError
+
+# CPython refuses to print an int of more than 4300 decimal digits (the
+# default of sys.set_int_max_str_digits; sys.get_int_max_str_digits is
+# missing before 3.10.7), so a count that long is refused, and it is not
+# computed where a lower bound on its bits already shows it.
+MAX_DIGITS = 4300
+_TOO_LONG = 10**MAX_DIGITS
+_TOO_LONG_BITS = _TOO_LONG.bit_length()
+
+
+def _too_long(bits, what):
+    return UnsupportedCaseError(
+        f"{what} has about {bits * 30103 // 100000 + 1} decimal digits; "
+        f"counts of more than {MAX_DIGITS} digits are not printed")
 
 
 @dataclass(frozen=True)
@@ -84,24 +98,33 @@ def triple_syzygetic(m, a, b):
 
 
 def parity_census(g):
-    """(number even, number odd) among all 2^(2g) characteristics."""
-    even = sum(1 for m in all_characteristics(g) if parity(m) == 1)
-    return even, 4**g - even
+    """(number even, number odd) among all 2^(2g) characteristics:
+    2^(g-1) (2^g + 1) even ones, a number of 2g bits."""
+    if g < 0:
+        raise DomainError("need g >= 0")
+    if 2 * g <= _TOO_LONG_BITS:
+        even = (4**g + 2**g) // 2
+        if even < _TOO_LONG:
+            return even, 4**g - even
+    raise _too_long(2 * g, f"the parity census at g = {g}")
 
 
 def gopel_count(g, r):
     """Number of Goepel groups (totally syzygetic subgroups) of order 2^r."""
     if not 0 <= r <= g:
         raise DomainError("need 0 <= r <= g")
-    num = 1
-    for j in range(r):
-        num *= 2 ** (2 * g - 2 * j) - 1
-    den = 1
-    for j in range(1, r + 1):
-        den *= 2**j - 1
-    if num % den:
-        raise AssertionError("Goepel count is not integral")  # pragma: no cover
-    return num // den
+    # num > 4^(sum of g - j) / 2, as prod (1 - 4^-k) > 1/2, and den < 2^(r(r + 1)/2)
+    bits = 2 * g * r - r * (r - 1) - 1 - r * (r + 1) // 2
+    if bits < _TOO_LONG_BITS:
+        num = den = 1
+        for j in range(r):
+            num *= 4 ** (g - j) - 1
+            den *= 2 ** (j + 1) - 1
+        count = num // den
+        if count < _TOO_LONG:
+            return count
+        bits = count.bit_length()
+    raise _too_long(bits, f"the Goepel count at g = {g}, r = {r}")
 
 
 def gopel_groups(g, r):
@@ -182,4 +205,7 @@ def vanishing_even_thetanulls(g):
 
 
 def vanishing_count_formula(g):
-    return 2 ** (g - 1) * (2**g + 1) - comb(2 * g + 1, g)
+    """The number of vanishing even thetanulls, (#even) - C(2g + 1, g)."""
+    if g < 1:
+        raise DomainError("need g >= 1")
+    return parity_census(g)[0] - comb(2 * g + 1, g)

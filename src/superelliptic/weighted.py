@@ -150,7 +150,7 @@ class WeightedHeight:
 
 def weighted_height(point):
     """Height over Q of the class of the given point."""
-    if not all(isinstance(Fraction(x), Fraction) for x in point.coords):
+    if not all(isinstance(x, (int, Fraction)) for x in point.coords):
         raise DomainError("heights are implemented over Q only")
     pt = normalize(point)
     best = None

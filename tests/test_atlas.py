@@ -16,7 +16,7 @@ from superelliptic.atlas import (
     weierstrass_gap_basis,
     GENUS3_GROUP_IDS_CHAR0,
 )
-from superelliptic.curves import SuperellipticCurve
+from superelliptic.curves import SuperellipticCurve, genus_formula
 from superelliptic.errors import (
     DomainError,
     NotInAtlasError,
@@ -296,3 +296,18 @@ def test_quotient_rejects_non_power_input():
     C = SuperellipticCurve(2, Poly(QQ, [1, 1, 0, 0, 0, 0, 1]))
     with pytest.raises(DomainError):
         quotient_equations(C)
+
+
+def test_one_genus_formula_matches_riemann_hurwitz():
+    # y^n = f(x), f separable of degree d: each root ramifies fully, and
+    # the gcd(n, d) points over infinity have index n / gcd(n, d)
+    for n in range(2, 10):
+        for d in range(1, 16):
+            g = genus_formula(n, d)
+            assert 2 * g - 2 == -2 * n + d * (n - 1) + n - gcd(n, d)
+            if d > n:
+                assert genus(n, d) == g
+            C = SuperellipticCurve(n, Poly(QQ, [1] + [0] * (d - 1) + [1]))
+            assert C.genus() == genus_formula(n, C.form_degree())
+            assert quotient_genus_triple(n, 2, d) == (
+                genus_formula(n, 2 * d), g, genus_formula(n, d + 1))

@@ -1,11 +1,12 @@
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
-from superelliptic.errors import DomainError
+from superelliptic.errors import DomainError, UnsupportedCaseError
 from superelliptic.theta import (
+    MAX_DIGITS,
     HalfIntChar,
     all_characteristics,
     branch_characteristic,
@@ -177,3 +178,55 @@ def test_nonvanishing_criterion_replay():
             if len(set(T) ^ U) == g + 1:
                 # criterion consistency: all such T carry even characteristics
                 assert parity(c) == 1
+
+
+# ---------------------------------------------------------------------------
+# closed-form counts: the enumeration oracle and the printable-size limit
+
+
+@pytest.mark.parametrize("g", range(0, 7))
+def test_parity_census_matches_enumeration(g):
+    even = sum(1 for m in all_characteristics(g) if parity(m) == 1)
+    assert parity_census(g) == (even, 4**g - even)
+
+
+def test_theta_counts_refuse_small_genus():
+    with pytest.raises(DomainError):
+        parity_census(-1)
+    for g in (0, -1):
+        with pytest.raises(DomainError, match="need g >= 1"):
+            vanishing_count_formula(g)
+
+
+def _gopel_oracle(g, r):
+    return (prod(4 ** (g - j) - 1 for j in range(r))
+            // prod(2**j - 1 for j in range(1, r + 1)))
+
+
+def _first_too_long(count, g):
+    """The least genus from g on whose count has more than MAX_DIGITS digits."""
+    while count(g) < 10**MAX_DIGITS:
+        g += 1
+    return g
+
+
+def test_counts_refused_exactly_past_the_digit_limit():
+    g = _first_too_long(lambda g: (4**g + 2**g) // 2, 7000)
+    assert parity_census(g - 1)[0] == 2 ** (g - 2) * (2 ** (g - 1) + 1)
+    assert vanishing_count_formula(g - 1) == parity_census(g - 1)[0] - comb(2 * g - 1, g - 1)
+    for count in (parity_census, vanishing_count_formula):
+        with pytest.raises(UnsupportedCaseError, match="decimal digits"):
+            count(g)
+    for r, start in ((1, 7000), (2, 3500), (7, 1000), (60, 140), (100, 120)):
+        g = _first_too_long(lambda g: _gopel_oracle(g, r), start)
+        assert g > start
+        assert gopel_count(g - 1, r) == _gopel_oracle(g - 1, r)
+        with pytest.raises(UnsupportedCaseError, match="decimal digits"):
+            gopel_count(g, r)
+
+
+def test_huge_counts_are_refused_before_they_are_computed():
+    for call in (lambda: parity_census(2**70), lambda: vanishing_count_formula(2**70),
+                 lambda: gopel_count(2**40, 2**20)):
+        with pytest.raises(UnsupportedCaseError):
+            call()

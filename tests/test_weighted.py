@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from superelliptic.algebra import QQ, Poly
+from superelliptic.algebra import GF, QQ, Poly
 from superelliptic.curves import SuperellipticCurve
 from superelliptic.errors import DomainError, SingularCurveError
 from superelliptic.weighted import (
@@ -240,3 +240,9 @@ def test_moduli_point_octavic_weights():
 def test_moduli_point_rejects_singular():
     with pytest.raises(SingularCurveError):
         moduli_point(_curve([0, 0, 1, 0, 0, 0, 1]))
+
+
+def test_weighted_height_over_gf_p_is_a_domain_error():
+    pt = WeightedPoint.of([1, 2, 3, 4], [2, 4, 6, 10], field=GF(7))
+    with pytest.raises(DomainError, match="over Q only"):
+        weighted_height(pt)
