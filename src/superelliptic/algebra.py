@@ -6,16 +6,19 @@ Scalars at the API boundary are ``fractions.Fraction`` (field ``QQ``) or
 ``GFElement`` (field ``GF(p)``, p an odd prime).  A ``Poly`` holds raw
 residues instead (plain ints in [0, p) over GF(p), Fractions over QQ) and
 runs on its field's small kernel: reduce and trim, invert, convert to and
-from public scalars.  The binary-form kernels (transvectant, linear
-substitution, resultant) run on plain integer vectors: over QQ each input
-is cleared to integers with one common denominator, over GF(p) the
-residues are used as they are, and each output coefficient becomes one
-public scalar at the end.  The resultant is the sub-resultant PRS, the
-same routine for both fields.  All values are immutable; every operation
-is a pure function, so values can be shared freely.
+from public scalars.  A ``BinaryForm`` holds an integer vector with one
+denominator (lowest terms over QQ, residues with denominator 1 over
+GF(p)) and builds its public ``coeffs`` on first read, so the form
+kernels (transvectant, linear substitution, discriminant) pass integer
+vectors to each other and public scalars appear only at the edges.  A
+transvectant is one pass of a cached bilinear weight table; the
+discriminant and the resultant share the sub-resultant PRS, the same
+routine for both fields.  All values are immutable; every operation is a
+pure function, so values can be shared freely.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
 from math import comb, factorial, gcd, isqrt, lcm, perm
 
@@ -286,8 +289,16 @@ class RationalField:
         return [c.numerator * (den // c.denominator) for c in cs], den
 
     @staticmethod
-    def _scalars(ints, num, den):
-        return [Fraction(c * num, den) for c in ints]
+    def _scalars(ints, den):
+        return [Fraction(c, den) for c in ints]
+
+    @staticmethod
+    def _canon(ints, num, den):
+        """ints * num / den as (ints, den) in lowest terms, for den > 0."""
+        if num != 1:
+            ints = [c * num for c in ints]
+        g = gcd(den, *ints)
+        return ([c // g for c in ints], den // g) if g != 1 else (ints, den)
 
     @staticmethod
     def _exact(cs, d):
@@ -377,10 +388,14 @@ class PrimeField:
     def _ints(self, cs):
         return list(map(self._raw, cs)), 1
 
-    def _scalars(self, ints, num, den):
-        """The GFElements ints[i] * num / den."""
-        s = self.from_fraction(Fraction(num, den)).value
-        return [GFElement(c * s, self.p) for c in ints]
+    def _scalars(self, ints, den):
+        """The GFElements ints[i] / den."""
+        return [GFElement(c, self.p) for c in self._canon(ints, 1, den)[0]]
+
+    def _canon(self, ints, num, den):
+        """The residues of ints * num / den, with den 1."""
+        s = num if den == 1 else self.from_fraction(Fraction(num, den)).value
+        return [c * s % self.p for c in ints], 1
 
     def _exact(self, cs, d):
         inv = pow(d, -1, self.p)
@@ -448,7 +463,7 @@ class Poly:
 
     @property
     def coeffs(self):
-        return tuple(map(self.field._box, self.raw))
+        return tuple([self.field._box(c) for c in self.raw])  # a list: see _ints
 
     @property
     def degree(self):
@@ -590,15 +605,6 @@ class Poly:
             acc = red(acc * x + c)
         return field._box(acc)
 
-    def shift_compose(self, scale):
-        """p(scale * x) for a scalar."""
-        s, red = self.field._raw(scale), self.field._red
-        out, power = [], 1
-        for c in self.raw:
-            out.append(c * power)
-            power = red(power * s)
-        return self._new(out)
-
     def is_squarefree(self):
         return self.gcd(self.derivative()).degree <= 0
 
@@ -629,19 +635,22 @@ def lagrange_interpolate(field, xs, ys):
 
 
 def resultant(f, g):
-    """Resultant of two polynomials over their common field.
-
-    Sub-resultant PRS (Cohen, GTM 138, Alg. 3.3.7) on integer vectors over
-    QQ (one common denominator per input) and on residues over GF(p); every
-    division in the loop is exact and taken from the field's kernel.
-    """
+    """Resultant of two polynomials over their common field."""
     if f.field != g.field:
         raise DomainError("mixed coefficient fields")
     field = f.field
     if f.is_zero or g.is_zero:
         return field.zero
     (a, da), (b, db) = field._ints(f.raw), field._ints(g.raw)
-    scale = da ** g.degree * db ** f.degree
+    return field._scalars([_subres(field, a, b)], da ** g.degree * db ** f.degree)[0]
+
+
+def _subres(field, a, b):
+    """Resultant of two trimmed ascending vectors of ints (QQ) or residues
+    (GF(p)), unreduced: the sub-resultant PRS (Cohen, GTM 138, Alg. 3.3.7),
+    every division in the loop exact and taken from the field's kernel."""
+    if not a or not b:
+        return 0
     exact = field._exact
 
     def lift(h, x, e):
@@ -670,8 +679,7 @@ def resultant(f, g):
         h = lift(h, lead, delta)
         if len(b) <= 1:
             break
-    h = lift(h, b[-1] if b else 0, len(a) - 1)
-    return field._scalars([s * h], 1, scale)[0]
+    return s * lift(h, b[-1] if b else 0, len(a) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -710,9 +718,11 @@ class Mat2:
 
 
 class BinaryForm:
-    """Homogeneous form of declared degree d; coeffs[i] goes with X^(d-i) Y^i."""
+    """Homogeneous form of declared degree d; coeffs[i] goes with X^(d-i) Y^i,
+    held as coeffs[i] = ints[i] / den: in lowest terms over QQ, residues with
+    den = 1 over GF(p).  The public coeffs are built on first read."""
 
-    __slots__ = ("field", "degree", "coeffs")
+    __slots__ = ("field", "degree", "ints", "den", "_coeffs")
 
     def __init__(self, field, degree, coeffs):
         coeffs = [field.of(c) for c in coeffs]
@@ -722,7 +732,23 @@ class BinaryForm:
             raise DomainError("the zero form is not a valid BinaryForm")
         self.field = field
         self.degree = degree
-        self.coeffs = tuple(coeffs)
+        ints, self.den = field._ints(coeffs)
+        self.ints = tuple(ints)
+        self._coeffs = tuple(coeffs)
+
+    @classmethod
+    def _of_ints(cls, field, degree, ints, den):
+        """The form ints / den, for a nonzero (ints, den) from field._canon."""
+        out = object.__new__(cls)
+        out.field, out.degree, out.ints, out.den = field, degree, tuple(ints), den
+        out._coeffs = None
+        return out
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            self._coeffs = tuple(self.field._scalars(self.ints, self.den))
+        return self._coeffs
 
     @classmethod
     def from_poly(cls, poly, degree=None):
@@ -730,9 +756,7 @@ class BinaryForm:
         d = poly.degree if degree is None else degree
         if poly.degree > d:
             raise DomainError("declared degree below polynomial degree")
-        return cls(
-            poly.field, d, [poly[d - i] for i in range(d + 1)]
-        )
+        return cls(poly.field, d, [poly[d - i] for i in range(d + 1)])
 
     def to_poly(self):
         """Dehomogenize: f(x) = F(x, 1)."""
@@ -743,11 +767,12 @@ class BinaryForm:
             isinstance(other, BinaryForm)
             and self.field == other.field
             and self.degree == other.degree
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __hash__(self):
-        return hash((self.field, self.degree, self.coeffs))
+        return hash((self.field, self.degree, self.ints, self.den))
 
     def __add__(self, other):
         if self.degree != other.degree:
@@ -769,12 +794,13 @@ class BinaryForm:
 
     def diff_xy(self, i, j):
         """Mixed partial derivative d^(i+j) f / dX^i dY^j, exact."""
-        d = self.degree
+        d, a = self.degree, self.ints
         if i + j > d:
             return None
-        ints, den = self.field._ints(self.coeffs)
-        out = self.field._scalars(_partial(ints, d, i, j), 1, den)
-        return BinaryForm(self.field, d - i - j, out) if any(out) else None
+        ints, den = self.field._canon(
+            [a[k + j] * perm(d - k - j, i) * perm(k + j, j) for k in range(d - i - j + 1)],
+            1, self.den)
+        return BinaryForm._of_ints(self.field, d - i - j, ints, den) if any(ints) else None
 
     def substitute(self, M):
         """f(aX + bY, cX + dY) for M = [[a, b], [c, d]]."""
@@ -782,7 +808,6 @@ class BinaryForm:
             raise DomainError("substitute needs a Mat2 over the same field")
         field = self.field
         d = self.degree
-        ints, den = field._ints(self.coeffs)
         (a, b, c, e), mden = field._ints((M.a, M.b, M.c, M.d))
         # powers of aX + bY and cX + dY, coefficient lists by Y-exponent
         pow1, pow2 = [[1]], [[1]]
@@ -790,37 +815,43 @@ class BinaryForm:
             pow1.append(_convolve(pow1[-1], (a, b), 0))
             pow2.append(_convolve(pow2[-1], (c, e), 0))
         acc = [0] * (d + 1)
-        for i, x in enumerate(ints):
+        for i, x in enumerate(self.ints):
             if x:
                 for k, t in enumerate(_convolve(pow1[d - i], pow2[i], 0)):
                     acc[k] += x * t
-        return BinaryForm(field, d, field._scalars(acc, 1, den * mden**d))
+        ints, den = field._canon(acc, 1, self.den * mden**d)
+        return BinaryForm._of_ints(field, d, ints, den)
 
     def __repr__(self):
         d = self.degree
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                parts.append(f"{c}*X^{d - i}*Y^{i}")
-        return "BinaryForm(" + " + ".join(parts) + ")"
+        return "BinaryForm(" + " + ".join(
+            f"{c}*X^{d - i}*Y^{i}" for i, c in enumerate(self.coeffs) if c) + ")"
 
 
-def _partial(ints, d, i, j):
-    """Integer coefficients of d^(i+j) F / dX^i dY^j for a form F of degree
-    d with coefficients ints (ints[k] goes with X^(d-k) Y^k)."""
-    return [ints[k + j] * perm(d - k - j, i) * perm(k + j, j)
-            for k in range(d - i - j + 1)]
+@cache
+def _weights(n, m, r):
+    """(f, g)^r for degrees n, m as one bilinear form: rows[i] lists the
+    (j, i + j - r, T[i][j]) with T[i][j] nonzero, where T[i][j] is the sum
+    over k of (-1)^k C(r, k) (n-i)_(r-k) i_k * (m-j)_k j_(r-k) (falling
+    factorials); then the prefactor (m-r)!(n-r)!/(n! m!) as num, den."""
+    fs = [[(-1) ** k * comb(r, k) * perm(n - i, r - k) * perm(i, k) for k in range(r + 1)]
+          for i in range(n + 1)]
+    gs = [[perm(m - j, k) * perm(j, r - k) for k in range(r + 1)] for j in range(m + 1)]
+    rows = [[(j, i + j - r, w) for j, g in enumerate(gs)
+             if (w := sum(x * y for x, y in zip(f, g)))] for i, f in enumerate(fs)]
+    pref = Fraction(factorial(m - r) * factorial(n - r), factorial(n) * factorial(m))
+    return rows, pref.numerator, pref.denominator
 
 
 def transvectant(f, g, r):
     """r-th transvectant (f, g)^r of two binary forms.
 
     The sum over k of (-1)^k C(r, k) d^r f/dX^(r-k)dY^k * d^r g/dX^k dY^(r-k)
-    runs on the integer coefficient vectors of f and g and is scaled once,
-    by the factorial prefactor (m-r)!(n-r)!/(n! m!) over the two common
-    denominators; over GF(p) that raises CharacteristicError when p divides
-    the prefactor's denominator.  Degree-0 results, and results that vanish
-    identically, come back as a scalar.
+    is the bilinear form of `_weights` on the integer vectors of f and g,
+    scaled once by the factorial prefactor over the two denominators; over
+    GF(p) that raises CharacteristicError when p divides the prefactor's
+    denominator.  Degree-0 results, and results that vanish identically,
+    come back as a scalar.
     """
     if not isinstance(f, BinaryForm) or not isinstance(g, BinaryForm):
         raise DomainError("transvectant expects binary forms")
@@ -829,35 +860,33 @@ def transvectant(f, g, r):
     n, m = f.degree, g.degree
     if r < 0 or r > min(n, m):
         raise DomainError(f"transvection order {r} exceeds min degree")
-    field = f.field
-    (a, da), (b, db) = field._ints(f.coeffs), field._ints(g.coeffs)
-    terms = [
-        _convolve([(-1) ** k * comb(r, k) * x for x in _partial(a, n, r - k, k)],
-                  _partial(b, m, k, r - k), 0)
-        for k in range(r + 1)
-    ]
-    pref = Fraction(factorial(m - r) * factorial(n - r), factorial(n) * factorial(m))
-    acc = field._scalars([sum(col) for col in zip(*terms)],
-                         pref.numerator, pref.denominator * da * db)
-    if len(acc) == 1:
-        return acc[0]
-    if not any(acc):
+    field, b = f.field, g.ints
+    rows, num, den = _weights(n, m, r)
+    out = [0] * (n + m - 2 * r + 1)
+    for x, row in zip(f.ints, rows):
+        if x:
+            for j, k, w in row:
+                out[k] += w * x * b[j]
+    ints, den = field._canon(out, num, den * f.den * g.den)
+    if len(ints) == 1:
+        return field._scalars(ints, den)[0]
+    if not any(ints):
         return field.zero
-    return BinaryForm(field, n + m - 2 * r, acc)
+    return BinaryForm._of_ints(field, n + m - 2 * r, ints, den)
 
 
 def discriminant(form):
     """Projective discriminant, normalized so disc(X^2 - Y^2) = 4.
 
     Equals lc^(2d-2) * prod_(i<j) (root_i - root_j)^2 and scales by
-    (det M)^(d(d-1)) under substitution.
+    (det M)^(d(d-1)) under substitution; (-1)^(d(d-1)/2) Res(f, f') / lc.
     """
     if form.degree < 2:
         raise DomainError("discriminant needs degree >= 2")
     field = form.field
     d = form.degree
     f = form
-    if not f.coeffs[0]:
+    if not f.ints[0]:
         # move roots away from (1:0) with the unimodular X -> X, Y -> cX + Y,
         # which leaves the discriminant unchanged
         for c in range(1, d + 2):
@@ -866,15 +895,17 @@ def discriminant(form):
                     f"GF({field.p}) too small to renormalize a degree {d} form"
                 )
             cand = f.substitute(Mat2(field, 1, 0, c, 1))
-            if cand.coeffs[0]:
+            if cand.ints[0]:
                 f = cand
                 break
         else:
             raise DomainError("could not move roots off infinity")  # pragma: no cover
-    p = f.to_poly()
-    res = resultant(p, p.derivative())
+    a = f.ints[::-1]
+    b = field._trim([i * c for i, c in enumerate(a)][1:])
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return field.of(sign) * res / p.lc
+    # Res(a/den, b/den) / (a[-1]/den), with deg a = d and deg b = len(b) - 1
+    return field._scalars([sign * _subres(field, a, b)],
+                          f.den ** (len(b) + d - 2) * a[-1])[0]
 
 
 def kth_roots_in_field(value, k, field):

@@ -9,10 +9,10 @@ a list is a JSON list, a doc or list flag is JSON text, and a missing or
 null required parameter is a parse error.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (singular curve,
-unsupported case, bad mathematical input), 4 parse error (bad JSON or a
-bad value).  Batch mode (--input file.jsonl) emits one output line per
-input line; a failing line becomes an error object and never aborts the
-batch.
+unsupported case, bad mathematical input, a result number past CPython's
+int-to-str digit limit), 4 parse error (bad JSON or a bad value).  Batch
+mode (--input file.jsonl) emits one output line per input line; a failing
+line becomes an error object and never aborts the batch.
 """
 
 import argparse
@@ -407,8 +407,8 @@ def _error_obj(kind, exc):
     return {"error": {"kind": kind, "message": str(exc)}}
 
 
-def _run(command, flags, line=None):
-    """(exit code, output object) of one call: the flags, with the keys of
+def _run(command, flags, fmt, line=None):
+    """(exit code, output line) of one call: the flags, with the keys of
     the batch line `line` (JSON text) laid over them."""
     try:
         kinds = PARAMS[command]
@@ -419,18 +419,22 @@ def _run(command, flags, line=None):
             if not isinstance(doc, dict):
                 raise ParseError("batch line must be a JSON object")
             args.update((k.replace("-", "_"), v) for k, v in doc.items())
-        return EXIT_OK, HANDLERS[command](_check(kinds, args))
+        return EXIT_OK, _dumps(HANDLERS[command](_check(kinds, args)), fmt)
     except ParseError as e:
-        return EXIT_PARSE, _error_obj("parse", e)
+        return EXIT_PARSE, _dumps(_error_obj("parse", e), fmt)
     except (DomainError, ZeroDivisionError) as e:
-        return EXIT_DOMAIN, _error_obj("domain", e)
+        return EXIT_DOMAIN, _dumps(_error_obj("domain", e), fmt)
+    except ValueError as e:  # an int past CPython's int-to-str digit limit
+        if "integer string conversion" not in str(e):
+            raise
+        msg = f"a result has more than {theta.MAX_DIGITS} digits and is not printed"
+        return EXIT_DOMAIN, _dumps(_error_obj("domain", msg), fmt)
 
 
-def _emit(obj, fmt, out):
+def _dumps(obj, fmt):
     if fmt == "pretty":
-        out.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-    else:
-        out.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 _parser = None  # built by the first main call, then reused
@@ -447,17 +451,17 @@ def main(argv=None, out=None):
         return e.code if e.code is not None else EXIT_USAGE
     flags = {k: v for k, v in vars(ns).items() if k in PARAMS[ns.command] and v is not None}
     if not ns.input:
-        code, obj = _run(ns.command, flags)
-        _emit(obj, ns.format, out)
+        code, text = _run(ns.command, flags, ns.format)
+        out.write(text)
         return code
     try:
         with open(ns.input) as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as e:
-        _emit(_error_obj("io", e), ns.format, out)
+        out.write(_dumps(_error_obj("io", e), ns.format))
         return EXIT_USAGE
     for line in lines:
-        _emit(_run(ns.command, flags, line)[1] if line.strip() else {}, ns.format, out)
+        out.write(_run(ns.command, flags, ns.format, line)[1] if line.strip() else "{}\n")
     return EXIT_OK
 
 

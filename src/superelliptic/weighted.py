@@ -10,6 +10,7 @@ through floats.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from itertools import product
 from math import gcd
 
@@ -104,6 +105,7 @@ def normalize(point):
     return WeightedPoint(tuple(Fraction(x) for x in pt.coords), pt.weights)
 
 
+@total_ordering
 @dataclass(frozen=True)
 class WeightedHeight:
     """Exact height max |x_j|^(1/q_j); stores the selected radicand."""
@@ -131,18 +133,6 @@ class WeightedHeight:
             a, b = self._cmp_key(other)
             return a <= b
         return self.radicand <= Fraction(other) ** self.root
-
-    def __lt__(self, other):
-        if isinstance(other, WeightedHeight):
-            a, b = self._cmp_key(other)
-            return a < b
-        return self.radicand < Fraction(other) ** self.root
-
-    def __gt__(self, other):
-        return not self.__le__(other)
-
-    def __ge__(self, other):
-        return not self.__lt__(other)
 
     def __hash__(self):
         return hash((self.radicand, self.root))

@@ -58,7 +58,8 @@ def _batch(cmd, docs, tmp_path):
     good = {"genus": {"n": 2, "d": 5}, "laska": {"model": [0, -1, 1, 0, 0]},
             "wgcd": {"point": {"coords": ["4", "16"], "weights": [2, 4]}},
             "family-eq": {"case": 10, "n": 2, "params": ["0"]},
-            "theta-census": {"g": 2}, "gopel": {"g": 2, "r": 2}}[cmd]
+            "theta-census": {"g": 2}, "gopel": {"g": 2, "r": 2},
+            "invariants": {"curve": {"n": 2, "f": ["1", "0", "0", "0", "0", "0", "1"]}}}[cmd]
     text = "".join(json.dumps(d) + "\n" for d in docs + [good])
     code, out = _call([cmd, "--input", "{input}"], text, tmp_path)
     assert code == EXIT_OK
@@ -115,6 +116,27 @@ def test_gopel_past_the_digit_limit_does_not_abort(tmp_path):
     lines = _batch("gopel", [{"g": 200, "r": 100}], tmp_path)
     assert _kinds(lines) == ["domain"]
     assert "about 7541 decimal digits" in lines[0]["error"]["message"]
+
+
+def test_genus_past_the_digit_limit_does_not_abort(tmp_path):
+    # two 2200-digit inputs make a genus of about 4400 digits
+    n, d = "1" * 2200, "2" * 2200 + "1"
+    lines = _batch("genus", [{"n": n, "d": d}], tmp_path)
+    assert _kinds(lines) == ["domain"]
+    assert lines[0]["error"]["message"] == "a result has more than 4300 digits and is not printed"
+    code, out = _call(["genus", "--n", n, "--d", d])
+    assert code == EXIT_DOMAIN
+    assert json.loads(out)["error"]["kind"] == "domain"
+
+
+def test_invariant_past_the_digit_limit_does_not_abort(tmp_path):
+    # 451-digit coefficients: J10, of degree 10 in them, passes 4300 digits
+    c = "1" + "0" * 450
+    curve = {"n": 2, "f": [c, "3", "-" + c, "7", "1", c, "5"]}
+    lines = _batch("invariants", [{"curve": curve}], tmp_path)
+    assert _kinds(lines) == ["domain"]
+    code, out = _call(["invariants", "--curve", json.dumps(curve)])
+    assert code == EXIT_DOMAIN
 
 
 def test_theta_census_large_genus_is_a_closed_form():

@@ -275,6 +275,74 @@ def test_discriminant_matches_oracle(data):
 
 
 # ---------------------------------------------------------------------------
+# integer storage: kernel outputs hold (ints, den) and build coeffs lazily
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_chained_transvectants_match_oracle(data):
+    # the inner result is a form built from ints, fed straight to the outer
+    field = data.draw(fields())
+    f = data.draw(forms(field, data.draw(st.integers(2, 8))))
+    r1 = data.draw(st.integers(0, f.degree // 2)) * 2
+    g = data.draw(forms(field, data.draw(st.integers(1, 8))))
+    assert _outcome(transvectant, f, f, r1) == _outcome(_oracle_transvectant, f, f, r1)
+    inner, oracle_inner = transvectant(f, f, r1), _oracle_transvectant(f, f, r1)
+    if isinstance(inner, BinaryForm):
+        r2 = data.draw(st.integers(0, min(inner.degree, g.degree)))
+        assert (_outcome(transvectant, inner, g, r2)
+                == _outcome(_oracle_transvectant, oracle_inner, g, r2))
+        assert (_outcome(transvectant, g, inner, r2)
+                == _outcome(_oracle_transvectant, g, oracle_inner, r2))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_forms_from_ints_equal_forms_from_coeffs(data):
+    field = data.draw(fields())
+    d = data.draw(st.integers(0, 8))
+    ints = data.draw(st.lists(st.integers(-10**20, 10**20), min_size=d + 1,
+                              max_size=d + 1))
+    den = data.draw(st.sampled_from((1, 2, 6, 10**9 + 7, 2**70)))
+    ints, den = field._canon(ints, 1, den)
+    if not any(ints):
+        return
+    built = BinaryForm._of_ints(field, d, ints, den)
+    public = BinaryForm(field, d, field._scalars(ints, den))
+    assert built == public and public == built
+    assert hash(built) == hash(public)
+    assert (built.ints, built.den) == (public.ints, public.den)
+    assert built.coeffs == public.coeffs
+    assert [type(c) for c in built.coeffs] == [type(c) for c in public.coeffs]
+
+
+def test_forms_differing_only_in_den_differ():
+    half = BinaryForm(QQ, 2, [Fraction(1, 2), 0, Fraction(-3, 2)])
+    whole = BinaryForm(QQ, 2, [1, 0, -3])
+    assert (half.ints, half.den) == ((1, 0, -3), 2) and half.ints == whole.ints
+    assert half != whole and half == whole.scale(Fraction(1, 2))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_discriminant_at_infinity_and_degree_drop_match_oracle(data):
+    # coeffs[0] = 0 takes the renormalisation; over GF(p) with p | d the
+    # derivative of f(x, 1) loses its top term, or vanishes
+    p = data.draw(st.sampled_from((0, 3, 5, 7, 11)))
+    field = QQ if p == 0 else GF(p)
+    d = data.draw(st.sampled_from((2, 3, 4, 6, 7, 8, 9) if p == 0 else (p, 2 * p)))
+    f = data.draw(forms(field, d))
+    cs = list(f.coeffs)
+    if p == 0 or data.draw(st.booleans()):
+        cs[0] = 0
+    elif data.draw(st.booleans()):  # f(x, 1) = x^d + c: the derivative vanishes
+        cs = [1] + [0] * (d - 1) + [cs[-1]]
+    if any(cs):
+        f = BinaryForm(field, d, cs)
+    assert _outcome(discriminant, f) == _outcome(_oracle_discriminant, f)
+
+
+# ---------------------------------------------------------------------------
 # edge cases
 
 

@@ -122,6 +122,22 @@ def test_height_cross_powering_comparisons():
     assert b > c
 
 
+def test_height_comparisons_match_cross_powering():
+    # h = radicand^(1/root): h op h' iff radicand^root' op radicand'^root,
+    # and h op x iff radicand op x^root for a plain x >= 0
+    from operator import eq, ge, gt, le, lt, ne
+    from superelliptic.weighted import WeightedHeight
+    heights = [WeightedHeight(Fraction(r), q)
+               for r in (1, 4, 8, 9, Fraction(1, 4), Fraction(27, 8)) for q in (1, 2, 3)]
+    plain = [0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2)]
+    for op in (lt, le, gt, ge, eq, ne):
+        for a, b in product(heights, heights):
+            assert op(a, b) == op(a.radicand**b.root, b.radicand**a.root), (op, a, b)
+        for a, x in product(heights, plain):
+            assert op(a, x) == op(a.radicand, Fraction(x) ** a.root), (op, a, x)
+            assert op(x, a) == op(Fraction(x) ** a.root, a.radicand), (op, x, a)
+
+
 # ---------------------------------------------------------------------------
 # equality of classes
 
