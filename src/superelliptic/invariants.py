@@ -165,8 +165,7 @@ def sextic_equivalent(f, g):
     inv_g = igusa_sextic(g)
     if not inv_f.J10 or not inv_g.J10:
         raise SingularCurveError("sextic equivalence needs nonzero discriminants")
-    matches = match_weighted_scale(inv_f.tuple(), inv_g.tuple(), SEXTIC_WEIGHTS, f.field)
-    return matches[0] if matches else None
+    return match_weighted_scale(inv_f.tuple(), inv_g.tuple(), SEXTIC_WEIGHTS, f.field)
 
 
 def octavic_equivalent(f, g):
@@ -175,8 +174,7 @@ def octavic_equivalent(f, g):
         raise SingularCurveError("octavic equivalence needs nonzero discriminants")
     inv_f = octavic_invariants(f).moduli_tuple()
     inv_g = octavic_invariants(g).moduli_tuple()
-    matches = match_weighted_scale(inv_f, inv_g, OCTAVIC_WEIGHTS[:6], f.field)
-    return matches[0] if matches else None
+    return match_weighted_scale(inv_f, inv_g, OCTAVIC_WEIGHTS[:6], f.field)
 
 
 SEPARABLE = "separable"

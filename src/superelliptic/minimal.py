@@ -1,10 +1,11 @@
 """Minimal models: Laska's form of Tate's reduction for elliptic curves
 over Q, and the weighted-gcd minimal model for superelliptic curves.
 
-Laska reduction searches the divisor set S = {u >= 1 : u^4 | c4, u^6 | c6}
-from the largest candidate down; for each u the normalized coefficients
-a1', a3' in {0, 1} and a2' in {-1, 0, 1} are tried in lexicographic order
-and a candidate is accepted only if the full coordinate change
+Laska reduction searches the divisor set S = {u >= 1 : u^4 | c4, u^6 | c6},
+that is {u : u^12 | gcd(c4^3, c6^2)}, down from the exact integer 12th
+root of that gcd; for each u the normalized coefficients a1', a3' in
+{0, 1} and a2' in {-1, 0, 1} are tried in lexicographic order and a
+candidate is accepted only if the full coordinate change
 (u, r, s, t) replays integrally on every coefficient.
 
 The superelliptic reduction divides the invariant tuple by its weighted
@@ -15,8 +16,9 @@ binary form.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .algebra import BinaryForm, QQ, factorize, valuation
+from .algebra import BinaryForm, QQ, factorize, integer_nth_root, valuation
 from .curves import SuperellipticCurve
 from .errors import DomainError, SingularCurveError, UnsupportedCaseError
 from .weighted import WeightedPoint, moduli_point, wgcd
@@ -93,33 +95,16 @@ class LaskaReport:
     valuations: dict  # prime -> (v_p before, v_p after)
 
 
-def _integer_root_bound(n, k):
-    r = int(round(abs(n) ** (1.0 / k)))
-    while r**k > abs(n):
-        r -= 1
-    while (r + 1) ** k <= abs(n):
-        r += 1
-    return r
-
-
 def laska_reduce(model):
     """Minimal integral model of an elliptic curve over Q."""
     disc = model.discriminant()
     if disc == 0:
         raise SingularCurveError("elliptic model has discriminant 0")
     c4, c6 = c4c6(model)
-    if c4 == 0 and c6 == 0:
-        raise SingularCurveError("c4 = c6 = 0 is singular")  # pragma: no cover
-    bounds = []
-    if c4:
-        bounds.append(_integer_root_bound(c4, 4))
-    if c6:
-        bounds.append(_integer_root_bound(c6, 6))
-    u_max = min(bounds)
-    for u in range(u_max, 0, -1):
-        if c4 and c4 % u**4:
-            continue
-        if c6 and c6 % u**6:
+    # u^4 | c4 and u^6 | c6 exactly when u^12 | g
+    g = gcd(c4**3, c6**2)
+    for u in range(integer_nth_root(g, 12)[0], 0, -1):
+        if g % u**12:
             continue
         for a1p in (0, 1):
             s2 = a1p * u - model.a1

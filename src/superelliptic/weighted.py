@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from itertools import product
-from math import gcd
+from math import exp, gcd, log
 
 from .algebra import GF, GFElement, QQ, factorize, match_weighted_scale, valuation
 from .curves import SuperellipticCurve
@@ -114,25 +114,32 @@ class WeightedHeight:
     root: int
 
     def approx(self):
-        return float(self.radicand) ** (1.0 / self.root)
+        """The height as a float for display, None past float range."""
+        try:
+            return float(self.radicand) ** (1.0 / self.root)
+        except OverflowError:  # the radicand is past float range
+            r = self.radicand
+        try:
+            return exp((log(r.numerator) - log(r.denominator)) / self.root)
+        except OverflowError:  # so is the height
+            return None
 
     def _cmp_key(self, other):
-        return (
-            self.radicand**other.root,
-            other.radicand**self.root,
-        )
+        """(a, b) comparing as self and other do, other a height or a number."""
+        if not isinstance(other, WeightedHeight):
+            other = Fraction(other)
+            if other < 0:  # a height is never negative
+                return 1, 0
+            other = WeightedHeight(other, 1)
+        return self.radicand**other.root, other.radicand**self.root
 
     def __eq__(self, other):
-        if isinstance(other, WeightedHeight):
-            a, b = self._cmp_key(other)
-            return a == b
-        return self.radicand == Fraction(other) ** self.root
+        a, b = self._cmp_key(other)
+        return a == b
 
     def __le__(self, other):
-        if isinstance(other, WeightedHeight):
-            a, b = self._cmp_key(other)
-            return a <= b
-        return self.radicand <= Fraction(other) ** self.root
+        a, b = self._cmp_key(other)
+        return a <= b
 
     def __hash__(self):
         return hash((self.radicand, self.root))
@@ -163,8 +170,7 @@ def wpoint_equal(p, q):
     if p.weights != q.weights:
         raise DomainError("weight tuples must match")
     field = _field_of(p)
-    matches = match_weighted_scale(q.coords, p.coords, p.weights, field)
-    return matches[0] if matches else None
+    return match_weighted_scale(q.coords, p.coords, p.weights, field)
 
 
 def enumerate_bounded_height(weights, bound):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +15,13 @@ from superelliptic.algebra import (
     factorize,
     fraction_nth_roots,
     integer_nth_root,
+    is_prime,
+    kth_roots_in_field,
     resultant,
     transvectant,
 )
-from superelliptic.errors import CharacteristicError, DomainError
+from superelliptic import algebra
+from superelliptic.errors import CharacteristicError, DomainError, UnsupportedCaseError
 
 from conftest import form_from_roots, rand_form, rand_matrix
 
@@ -65,6 +69,75 @@ def test_integer_roots():
 def test_factorize():
     assert factorize(2**5 * 3**2 * 97) == {2: 5, 3: 2, 97: 1}
     assert factorize(1) == {}
+
+
+@given(st.integers(min_value=0, max_value=2**4000), st.integers(min_value=1, max_value=40))
+@settings(max_examples=300, deadline=None)
+def test_integer_nth_root_brackets_the_root(n, k):
+    r, exact = integer_nth_root(n, k)
+    assert r**k <= n < (r + 1) ** k
+    assert exact == (r**k == n)
+
+
+def test_integer_nth_root_past_float_range_and_precision():
+    # a float seed overflowed past 1e308, and below it was off by about
+    # 1e84 here, walked back one step at a time
+    r, exact = integer_nth_root(10**620, 3)
+    assert r**3 < 10**620 < (r + 1) ** 3 and not exact
+    assert integer_nth_root(10**621, 3) == (10**207, True)
+    assert integer_nth_root(10**300, 3) == (10**100, True)
+    assert fraction_nth_roots(Fraction(-(3**900), 10**600), 3) == [Fraction(-(3**300), 10**200)]
+
+
+def _scan_roots(v, k, p):
+    """The k-th roots of v in GF(p) by scanning the field: the oracle."""
+    return [0] if v == 0 else [x for x in range(1, p) if pow(x, k, p) == v]
+
+
+SMALL_PRIMES = [p for p in range(3, 2000) if is_prime(p)]
+# p - 1 with a large 2-part (65537, 7 * 2^20 + 1, 119 * 2^23 + 1), with all
+# primes to 23 (4 * 223092870 + 1), and up to p = 2^61 - 1
+LARGE_PRIMES = [65537, 1000003, 7340033, 998244353, 2**31 - 1,
+                4 * 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 + 1, 2**61 - 1]
+
+
+@given(st.sampled_from(SMALL_PRIMES), st.integers(min_value=1, max_value=24), st.data())
+@settings(max_examples=400, deadline=None)
+def test_field_roots_match_the_scan(p, k, data):
+    v = data.draw(st.one_of(st.integers(0, p - 1),
+                            st.integers(1, p - 1).map(lambda x: pow(x, k, p))))
+    got = kth_roots_in_field(GFElement(v, p), k, GF(p))
+    assert [r.value for r in got] == _scan_roots(v, k, p)
+
+
+@given(st.sampled_from(LARGE_PRIMES), st.integers(min_value=1, max_value=64),
+       st.integers(min_value=1), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_field_roots_large_p(p, k, x, power):
+    assert all(is_prime(q) for q in LARGE_PRIMES)
+    x %= p
+    v = pow(x, k, p) if power and x else x or 1
+    roots = [r.value for r in kth_roots_in_field(GFElement(v, p), k, GF(p))]
+    assert roots == sorted(set(roots))
+    assert all(pow(r, k, p) == v for r in roots)
+    assert len(roots) in (0, gcd(k, p - 1))
+    if power and x:
+        assert x in roots
+
+
+def test_field_roots_past_the_listing_cap_are_refused():
+    p = 7 * 2**20 + 1  # 1 has p - 1 = 7340032 roots of order dividing p - 1
+    with pytest.raises(UnsupportedCaseError, match="7340032 = gcd"):
+        kth_roots_in_field(GF(p).one, p - 1, GF(p))
+    assert kth_roots_in_field(GF(p).of(3), p - 1, GF(p)) == []
+
+
+def test_factorize_stops_at_its_budget(monkeypatch):
+    # two 10-digit primes split within the budget
+    assert factorize(1000000007 * 3000000019) == {1000000007: 1, 3000000019: 1}
+    monkeypatch.setattr(algebra, "RHO_BUDGET", 1000)
+    with pytest.raises(UnsupportedCaseError, match="about 19 decimal digits"):
+        factorize(1000000007 * 3000000019)
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,50 @@ def test_undecodable_batch_file_is_an_io_error(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# regressions: numbers past float range, roots over every GF(p), and
+# factoring that stops; each ended in a traceback or a refusal before
+
+
+def _curve(f, field="Q"):
+    return json.dumps({"n": 2, "f": [str(c) for c in f], "field": field})
+
+
+def test_equivalent_with_invariants_past_float_range():
+    # J2 = J4 = J6 = 0, so the scale is a 10th root of a 1200-digit ratio
+    code, out = _call(["equivalent", "--curve1", _curve([1, 0, 0, 0, 0, 1]),
+                       "--curve2", _curve([1, 0, 0, 0, 0, 10**200])])
+    assert (code, json.loads(out)) == (EXIT_OK, {"equivalent": True, "scale": f"1/{10**120}"})
+
+
+def test_equivalent_over_gf_65537():
+    f = _curve([1, 2, 0, 3, 0, 5, 1], "GF(65537)")
+    assert _call(["equivalent", "--curve1", f, "--curve2", f]) == (
+        EXIT_OK, '{"equivalent":true,"scale":"1"}\n')
+
+
+def test_laska_past_float_range():
+    u = 2**300
+    code, out = _call(["laska", "--model", json.dumps([u, 0, 0, -3 * u**4, -2 * u**6])])
+    assert code == EXIT_OK
+    assert (json.loads(out)["model"], json.loads(out)["u"]) == ([1, 0, 0, -3, -2], u)
+    # a 992-digit discriminant with a cofactor rho cannot split in its budget
+    code, out = _call(["laska", "--model", json.dumps([0, 0, 0, 10**330, 1])])
+    assert code == EXIT_DOMAIN
+    assert "decimal digits" in json.loads(out)["error"]["message"]
+
+
+def test_height_past_float_range():
+    big = str(10**400 + 1)
+    code, out = _call(["height", "--point", json.dumps({"coords": [big, "1"], "weights": [2, 3]})])
+    height = json.loads(out)["height"]
+    assert (code, height["radicand"], height["root"]) == (EXIT_OK, big, 2)
+    assert abs(height["approx"] / 1e200 - 1) < 1e-9
+    code, out = _call(["height", "--point", json.dumps({"coords": [big, "1"], "weights": [1, 3]})])
+    assert (code, json.loads(out)["height"]["approx"]) == (EXIT_OK, None)
+    assert '"approx":null' in out
+
+
+# ---------------------------------------------------------------------------
 # fuzz: any argument document ends in a documented exit code and JSON
 
 

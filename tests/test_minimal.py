@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from superelliptic import algebra
 from superelliptic.algebra import QQ, Poly, valuation
 from superelliptic.curves import SuperellipticCurve
 from superelliptic.errors import DomainError, SingularCurveError, UnsupportedCaseError
@@ -70,6 +71,21 @@ def test_laska_11a3_already_minimal():
 def test_laska_rejects_singular():
     with pytest.raises(SingularCurveError):
         laska_reduce(EllipticModel(0, 0, 0, 0, 0))
+
+
+def test_laska_past_float_range():
+    # c4 and c6 pass 1e308, where a float-seeded root bound overflowed
+    u = 2**300
+    rep = laska_reduce(EllipticModel(u, 0, 0, -3 * u**4, -2 * u**6))
+    assert (rep.u, rep.model) == (u, EllipticModel(1, 0, 0, -3, -2))
+    assert rep.valuations == {2: (3600, 0), 443: (1, 1)}
+
+
+def test_laska_with_an_unsplit_discriminant_is_refused(monkeypatch):
+    # the discriminant has 992 digits and a cofactor rho cannot split
+    monkeypatch.setattr(algebra, "RHO_BUDGET", 10_000)
+    with pytest.raises(UnsupportedCaseError, match="decimal digits"):
+        laska_reduce(EllipticModel(0, 0, 0, 10**330, 1))
 
 
 @pytest.mark.parametrize("u", [2, 3, 6])

@@ -124,18 +124,29 @@ def test_height_cross_powering_comparisons():
 
 def test_height_comparisons_match_cross_powering():
     # h = radicand^(1/root): h op h' iff radicand^root' op radicand'^root,
-    # and h op x iff radicand op x^root for a plain x >= 0
+    # h op x iff radicand op x^root for a plain x >= 0, and h > x for x < 0
     from operator import eq, ge, gt, le, lt, ne
     from superelliptic.weighted import WeightedHeight
     heights = [WeightedHeight(Fraction(r), q)
                for r in (1, 4, 8, 9, Fraction(1, 4), Fraction(27, 8)) for q in (1, 2, 3)]
-    plain = [0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2)]
+    plain = [0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2), -1, -2, -3, Fraction(-1, 2)]
     for op in (lt, le, gt, ge, eq, ne):
         for a, b in product(heights, heights):
             assert op(a, b) == op(a.radicand**b.root, b.radicand**a.root), (op, a, b)
         for a, x in product(heights, plain):
-            assert op(a, x) == op(a.radicand, Fraction(x) ** a.root), (op, a, x)
-            assert op(x, a) == op(Fraction(x) ** a.root, a.radicand), (op, x, a)
+            h, y = (a.radicand, Fraction(x) ** a.root) if x >= 0 else (0, x)
+            assert op(a, x) == op(h, y), (op, a, x)
+            assert op(x, a) == op(y, h), (op, x, a)
+    assert WeightedHeight(Fraction(4), 2) != -2
+    assert WeightedHeight(Fraction(4), 2) > -3
+
+
+def test_height_approx_past_float_range():
+    from superelliptic.weighted import WeightedHeight
+    assert WeightedHeight(Fraction(3), 2).approx() == 1.7320508075688772
+    assert abs(WeightedHeight(Fraction(10**400 + 1), 2).approx() / 1e200 - 1) < 1e-9
+    assert abs(WeightedHeight(Fraction(10**401, 10), 3).approx() / 10 ** (400 / 3) - 1) < 1e-9
+    assert WeightedHeight(Fraction(10**400), 1).approx() is None
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +157,16 @@ def test_wpoint_equal_examples():
     assert wpoint_equal(P([1, 2], (1, 2)), P([1, 2], (1, 2))) == 1
     assert wpoint_equal(P([1, 1], (1, 2)), P([2, 4], (1, 2))) == 2
     assert wpoint_equal(P([1, 1], (1, 2)), P([2, 5], (1, 2))) is None
+
+
+def test_wpoint_equal_over_large_prime_fields():
+    # gcd(2, p - 1) = 2 for each p; the roots are found without a scan of GF(p)
+    for p in (10007, 65537, 2**61 - 1):
+        F = GF(p)
+        pt = WeightedPoint.of([3, 5, 7, 11], (2, 4, 6, 10), F)
+        assert wpoint_equal(pt, star_act(F.of(2), pt)) == F.of(2)
+        assert wpoint_equal(pt, star_act(F.of(-2), pt)) == F.of(2)
+        assert wpoint_equal(pt, WeightedPoint.of([3, 5, 7, 12], (2, 4, 6, 10), F)) is None
 
 
 def test_wpoint_equal_weight_mismatch():
