@@ -13,8 +13,8 @@ kernels (transvectant, linear substitution, discriminant) pass integer
 vectors to each other and public scalars appear only at the edges.  A
 transvectant is one pass of a cached bilinear weight table; the
 discriminant and the resultant share the sub-resultant PRS, the same
-routine for both fields.  All values are immutable; every operation is a
-pure function, so values can be shared freely.
+routine for both fields, with no search in the discriminant.  Values are
+immutable and every operation is pure, so values can be shared freely.
 
 One root kernel, with no floats: integer k-th roots by Newton's method on
 ints, rational ones from those, GF(p) ones by Adleman-Manders-Miller in
@@ -863,33 +863,26 @@ def discriminant(form):
     """Projective discriminant, normalized so disc(X^2 - Y^2) = 4.
 
     Equals lc^(2d-2) * prod_(i<j) (root_i - root_j)^2 and scales by
-    (det M)^(d(d-1)) under substitution; (-1)^(d(d-1)/2) Res(f, f') / lc.
+    (det M)^(d(d-1)) under substitution.  For F(1, 0) != 0 it is
+    (-1)^(d(d-1)/2) Res(f, f') / lc with f = F(x, 1) and the resultant taken
+    at the formal degree d - 1 of f' (lower in characteristic p | d); a
+    root at (1:0), F = Y G, is split off by disc(Y G) = G(1, 0)^2 disc(G).
     """
     if form.degree < 2:
         raise DomainError("discriminant needs degree >= 2")
-    field = form.field
-    d = form.degree
-    f = form
-    if not f.ints[0]:
-        # move roots away from (1:0) with the unimodular X -> X, Y -> cX + Y,
-        # which leaves the discriminant unchanged
-        for c in range(1, d + 2):
-            if isinstance(field, PrimeField) and c >= field.p:
-                raise CharacteristicError(
-                    f"GF({field.p}) too small to renormalize a degree {d} form"
-                )
-            cand = f.substitute(Mat2(field, 1, 0, c, 1))
-            if cand.ints[0]:
-                f = cand
-                break
-        else:
-            raise DomainError("could not move roots off infinity")  # pragma: no cover
-    a = f.ints[::-1]
+    field, d, a = form.field, form.degree, form.ints
+    num = 1
+    if not a[0]:  # F = Y G
+        num, a = a[1] ** 2, a[1:]
+        if not num or len(a) == 2:  # Y^2 | F, or G is linear with disc 1
+            return field._scalars([num], form.den ** (2 * d - 2))[0]
+    n, a = len(a) - 1, a[::-1]
     b = field._trim([i * c for i, c in enumerate(a)][1:])
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    # Res(a/den, b/den) / (a[-1]/den), with deg a = d and deg b = len(b) - 1
-    return field._scalars([sign * _subres(field, a, b)],
-                          f.den ** (len(b) + d - 2) * a[-1])[0]
+    num *= (-1) ** (n * (n - 1) // 2)
+    # Res_(n, n-1)(a, b) = a[-1]^(n-1-deg b) Res(a, b), divided by lc; the
+    # disc has degree 2d - 2 in the coefficients, so den^(2d-2) clears them
+    return field._scalars([num * _subres(field, a, b) * a[-1] ** (n - len(b))],
+                          form.den ** (2 * d - 2) * a[-1])[0]
 
 
 # A k-th root set in GF(p) has d = gcd(k, p - 1) elements, and listing them

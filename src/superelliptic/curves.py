@@ -9,8 +9,8 @@ at infinity, which is the classical convention for genus 2 and 3.
 from dataclasses import dataclass
 from math import gcd
 
-from .algebra import BinaryForm, Poly, QQ, discriminant
-from .errors import DomainError, SingularCurveError
+from .algebra import BinaryForm, Poly, QQ
+from .errors import DomainError
 
 
 def genus_formula(n, d):
@@ -52,11 +52,6 @@ class SuperellipticCurve:
 
     def binary_form(self):
         return BinaryForm.from_poly(self.f, self.form_degree())
-
-    def check_nonsingular(self):
-        if not discriminant(self.binary_form()):
-            raise SingularCurveError("defining binary form has a repeated root")
-        return self
 
     def is_integral(self):
         if self.field != QQ:

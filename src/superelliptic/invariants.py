@@ -114,12 +114,16 @@ def igusa_sextic(f):
     """Full invariant record of a binary sextic (see module docstring)."""
     if not isinstance(f, BinaryForm) or f.degree != 6:
         raise DomainError("igusa_sextic needs a binary sextic")
+    return _sextic_record(f, discriminant(f))
+
+
+def _sextic_record(f, J10):
+    """The invariant record of the sextic f, whose discriminant is J10."""
     field = f.field
     A, B, C, D = clebsch_sextic(f)
     J2 = field.from_fraction(_J2_FROM_A) * A
     J4 = field.from_fraction(_J4_FROM_A2) * A * A + field.from_fraction(_J4_FROM_B) * B
     J6 = field.from_fraction(_J6_FROM_C) * C
-    J10 = discriminant(f)
     # integral invariants from the J's, inverting the displayed relations
     Afrak = 8 * J2
     Bfrak = 4 * J2 * J2 - 96 * J4
@@ -194,7 +198,7 @@ def multiplicity_profile(f):
     if disc:
         return SEPARABLE
     if f.degree == 6:
-        inv = igusa_sextic(f)
+        inv = _sextic_record(f, disc)
         if not inv.J2 and not inv.J4 and not inv.J6:
             return GE_4
         if inv.J2 and inv.J4 == 9 * inv.J2**2 and 27 * inv.J6 == inv.J2**3:

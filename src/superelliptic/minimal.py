@@ -2,11 +2,12 @@
 over Q, and the weighted-gcd minimal model for superelliptic curves.
 
 Laska reduction searches the divisor set S = {u >= 1 : u^4 | c4, u^6 | c6},
-that is {u : u^12 | gcd(c4^3, c6^2)}, down from the exact integer 12th
-root of that gcd; for each u the normalized coefficients a1', a3' in
-{0, 1} and a2' in {-1, 0, 1} are tried in lexicographic order and a
-candidate is accepted only if the full coordinate change
-(u, r, s, t) replays integrally on every coefficient.
+that is {u : u^12 | g} for g = gcd(c4^3, c6^2).  As 1728 disc = c4^3 - c6^2,
+S is the set of divisors of the product of p^(v_p(g) // 12) over the primes
+of the discriminant, factored once, and is walked from the largest u down;
+for each u the normalized a1', a3' in {0, 1} and a2' in {-1, 0, 1} are
+tried in lexicographic order and a candidate is accepted only if the full
+coordinate change (u, r, s, t) replays integrally on every coefficient.
 
 The superelliptic reduction divides the invariant tuple by its weighted
 gcd with respect to the weights (d/2) q_i, realizing the division on the
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .algebra import BinaryForm, QQ, factorize, integer_nth_root, valuation
+from .algebra import BinaryForm, QQ, factorize, valuation
 from .curves import SuperellipticCurve
 from .errors import DomainError, SingularCurveError, UnsupportedCaseError
 from .weighted import WeightedPoint, moduli_point, wgcd
@@ -101,11 +102,13 @@ def laska_reduce(model):
     if disc == 0:
         raise SingularCurveError("elliptic model has discriminant 0")
     c4, c6 = c4c6(model)
-    # u^4 | c4 and u^6 | c6 exactly when u^12 | g
+    # u^4 | c4 and u^6 | c6 exactly when u^12 | g; then u^12 | 1728 disc
     g = gcd(c4**3, c6**2)
-    for u in range(integer_nth_root(g, 12)[0], 0, -1):
-        if g % u**12:
-            continue
+    primes = sorted(factorize(abs(disc)))
+    us = [1]
+    for p in primes:
+        us = [u * p**k for u in us for k in range(valuation(g, p) // 12 + 1)]
+    for u in sorted(us, reverse=True):
         for a1p in (0, 1):
             s2 = a1p * u - model.a1
             if s2 % 2:
@@ -126,9 +129,7 @@ def laska_reduce(model):
                         continue
                     disc_out = out.discriminant()
                     assert disc == disc_out * u**12
-                    vals = {}
-                    for p in sorted(factorize(abs(disc))):
-                        vals[p] = (valuation(disc, p), valuation(disc_out, p) if disc_out else 0)
+                    vals = {p: (valuation(disc, p), valuation(disc_out, p)) for p in primes}
                     return LaskaReport(
                         model=out, u=u, r=r, s=s, t=t,
                         discriminant_in=disc, discriminant_out=disc_out,

@@ -14,13 +14,10 @@ from functools import total_ordering
 from itertools import product
 from math import exp, gcd, log
 
-from .algebra import GF, GFElement, QQ, factorize, match_weighted_scale, valuation
+from .algebra import GF, GFElement, QQ, discriminant, factorize, match_weighted_scale, valuation
 from .curves import SuperellipticCurve
-from .errors import DomainError
-from .invariants import igusa_sextic, octavic_invariants
-
-SEXTIC_MODULI_WEIGHTS = (2, 4, 6, 10)
-OCTAVIC_MODULI_WEIGHTS = (2, 3, 4, 5, 6, 7)
+from .errors import DomainError, SingularCurveError
+from .invariants import OCTAVIC_WEIGHTS, SEXTIC_WEIGHTS, _sextic_record, octavic_invariants
 
 
 @dataclass(frozen=True)
@@ -198,17 +195,18 @@ def enumerate_bounded_height(weights, bound):
 
 
 def moduli_point(curve):
-    """Weighted moduli point of a level-2 curve with sextic or octavic form."""
+    """Weighted moduli point of a level-2 curve with sextic or octavic form;
+    its one discriminant refuses a repeated root first, and is a sextic's J10."""
     if not isinstance(curve, SuperellipticCurve):
         raise DomainError("moduli_point expects a SuperellipticCurve")
     if curve.n != 2:
         raise DomainError("moduli points are implemented for n = 2")
-    curve.check_nonsingular()
     form = curve.binary_form()
+    disc = discriminant(form)
+    if not disc:
+        raise SingularCurveError("defining binary form has a repeated root")
     if form.degree == 6:
-        inv = igusa_sextic(form)
-        return WeightedPoint(inv.tuple(), SEXTIC_MODULI_WEIGHTS)
+        return WeightedPoint(_sextic_record(form, disc).tuple(), SEXTIC_WEIGHTS)
     if form.degree == 8:
-        inv = octavic_invariants(form)
-        return WeightedPoint(inv.moduli_tuple(), OCTAVIC_MODULI_WEIGHTS)
+        return WeightedPoint(octavic_invariants(form).moduli_tuple(), OCTAVIC_WEIGHTS[:6])
     raise DomainError("moduli points need deg f in {5, 6, 7, 8}")

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -277,6 +278,25 @@ def test_moduli_point_octavic_weights():
 def test_moduli_point_rejects_singular():
     with pytest.raises(SingularCurveError):
         moduli_point(_curve([0, 0, 1, 0, 0, 0, 1]))
+
+
+@pytest.mark.parametrize("degree", [5, 6, 7, 8])
+def test_moduli_point_takes_one_discriminant(monkeypatch, degree):
+    # count calls under every name the package's modules bind the function to
+    import superelliptic.algebra as algebra
+    real, calls = algebra.discriminant, []
+
+    def counted(form):
+        calls.append(form.degree)
+        return real(form)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "superelliptic":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+    moduli_point(_curve([3, -1, 4, 1, -5, 9, 2, 6, 5][:degree + 1]))
+    assert calls == [6 if degree <= 6 else 8]
 
 
 def test_weighted_height_over_gf_p_is_a_domain_error():
