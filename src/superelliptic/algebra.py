@@ -6,15 +6,18 @@ Scalars at the API boundary are ``fractions.Fraction`` (field ``QQ``) or
 ``GFElement`` (field ``GF(p)``, p an odd prime).  A ``Poly`` holds raw
 residues instead (plain ints in [0, p) over GF(p), Fractions over QQ) and
 runs on its field's small kernel: reduce and trim, invert, convert to and
-from public scalars.  A ``BinaryForm`` holds an integer vector with one
-denominator (lowest terms over QQ, residues with denominator 1 over
-GF(p)) and builds its public ``coeffs`` on first read, so the form
-kernels (transvectant, linear substitution, discriminant) pass integer
-vectors to each other and public scalars appear only at the edges.  A
-transvectant is one pass of a cached bilinear weight table; the
-discriminant and the resultant share the sub-resultant PRS, the same
-routine for both fields, with no search in the discriminant.  Values are
-immutable and every operation is pure, so values can be shared freely.
+from public scalars.  Its arithmetic is a set of functions on those raw
+vectors (``raw_add`` ... ``raw_xgcd``), one loop per operation, which
+``Poly`` wraps and Cantor's addition calls directly.  A ``BinaryForm``
+holds an integer vector with one denominator (lowest terms over QQ,
+residues with denominator 1 over GF(p)) and builds its public ``coeffs``
+on first read, so the form kernels (transvectant, linear substitution,
+discriminant) pass integer vectors to each other and public scalars
+appear only at the edges.  A transvectant is one pass of a cached
+bilinear weight table; the discriminant and the resultant share the
+sub-resultant PRS, the same routine for both fields, with no search in
+the discriminant.  Values are immutable and every operation is pure, so
+values can be shared freely.
 
 One root kernel, with no floats: integer k-th roots by Newton's method on
 ints, rational ones from those, GF(p) ones by Adleman-Manders-Miller in
@@ -258,7 +261,7 @@ class RationalField:
         raise DomainError(f"cannot coerce {v!r} into QQ")
 
     # Poly kernel: the raw values are the Fractions themselves
-    _zero = Fraction(0)
+    _zero, _one = Fraction(0), Fraction(1)
     _raw = of
     _trim = staticmethod(_trimmed)
     _box = _red = staticmethod(lambda c: c)
@@ -355,7 +358,7 @@ class PrimeField:
         return (GFElement(v, self.p) for v in range(self.p))
 
     # Poly kernel: the raw values are int residues in [0, p)
-    _zero = 0
+    _zero, _one = 0, 1
 
     def _raw(self, v):
         return v % self.p if type(v) is int else self.of(v).value
@@ -416,6 +419,78 @@ def _convolve(a, b, zero):
     return out
 
 
+# The polynomial kernel on raw vectors: trimmed ascending tuples of a
+# field's raw values (``Poly.raw``), with reduced and trimmed tuples out.
+# ``Poly`` wraps these, and Cantor's addition in ``jacobian`` runs on them
+# directly, so each operation has one loop and hot paths box nothing.
+
+
+def raw_add(field, a, b):
+    return field._trim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def raw_sub(field, a, b):
+    return field._trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def raw_mul(field, a, b):
+    return field._trim(_convolve(a, b, field._zero)) if a and b else ()
+
+
+def raw_divmod(field, a, b):
+    """(q, r) with a = q b + r and deg r < deg b, for b nonzero."""
+    d = len(b) - 1
+    if len(a) <= d:
+        return (), a
+    r = list(a)
+    red, low = field._red, b[:d]
+    inv = field._inv(b[-1]) if b[-1] != 1 else 1  # b is mostly monic
+    q = []
+    for k in range(len(r) - 1, d - 1, -1):
+        c = red(r[k] * inv)
+        q.append(c)
+        if c:  # r[k] - c * b[d] vanishes; only r[:d] is kept
+            for i, y in enumerate(low, k - d):
+                r[i] -= c * y
+    q.reverse()
+    return tuple(q), field._trim(r[:d])
+
+
+def raw_exact_div(field, a, b):
+    q, r = raw_divmod(field, a, b)
+    if r:
+        raise DomainError("division is not exact")
+    return q
+
+
+def raw_xgcd(field, a, b):
+    """(g, s) with s a = g mod b, g monic (or zero): the extended Euclidean
+    algorithm, carrying the cofactor of a only."""
+    s0, s1 = (field._one,), ()
+    while b:
+        q, r = raw_divmod(field, a, b)
+        a, b = b, r
+        s0, s1 = s1, raw_sub(field, s0, raw_mul(field, q, s1))
+    if not a:
+        return a, s0
+    inv = (field._inv(a[-1]),)
+    return raw_mul(field, a, inv), raw_mul(field, s0, inv)
+
+
+def raw_bezout(field, a, b):
+    """(g, s, t) with s a + t b = g, g monic (or zero)."""
+    g, s = raw_xgcd(field, a, b)
+    t = raw_exact_div(field, raw_sub(field, g, raw_mul(field, s, a)), b) if b else ()
+    return g, s, t
+
+
+def _poly(field, raw):
+    """The Poly with the trimmed raw tuple ``raw``, taken as is."""
+    out = object.__new__(Poly)
+    out.field, out.raw = field, raw
+    return out
+
+
 class Poly:
     """Dense univariate polynomial; coefficients ascending by degree, kept
     as the field's raw values in ``raw`` and boxed by ``coeffs``."""
@@ -425,13 +500,6 @@ class Poly:
     def __init__(self, field, coeffs):
         self.field = field
         self.raw = field._trim([field._raw(c) for c in coeffs])
-
-    def _new(self, cs):
-        """Poly over self's field from a list of unreduced raw values."""
-        out = object.__new__(Poly)
-        out.field = field = self.field
-        out.raw = field._trim(cs)
-        return out
 
     @classmethod
     def zero(cls, field):
@@ -479,27 +547,21 @@ class Poly:
         return hash((self.field, self.raw))
 
     def __add__(self, other):
-        b = self._coerce(other).raw
-        return self._new([x + y for x, y in zip_longest(self.raw, b, fillvalue=0)])
+        return _poly(self.field, raw_add(self.field, self.raw, self._coerce(other).raw))
 
     def __sub__(self, other):
-        b = self._coerce(other).raw
-        return self._new([x - y for x, y in zip_longest(self.raw, b, fillvalue=0)])
+        return _poly(self.field, raw_sub(self.field, self.raw, self._coerce(other).raw))
 
     def __neg__(self):
-        return self._new([-c for c in self.raw])
+        return _poly(self.field, raw_sub(self.field, (), self.raw))
 
     def __mul__(self, other):
+        field = self.field
         if isinstance(other, Poly):
-            b = self._coerce(other).raw
-            return self._new(_convolve(self.raw, b, self.field._zero))
-        return self._scale(self.field._raw(other))
+            return _poly(field, raw_mul(field, self.raw, self._coerce(other).raw))
+        return _poly(field, raw_mul(field, self.raw, (field._raw(other),)))
 
     __rmul__ = __mul__
-
-    def _scale(self, c):
-        """c * self for a raw value c."""
-        return self._new([c * a for a in self.raw])
 
     def __pow__(self, e):
         if e < 0:
@@ -524,21 +586,8 @@ class Poly:
         b = self._coerce(other).raw
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        field = self.field
-        r = list(self.raw)
-        d = len(b) - 1
-        if len(r) <= d:
-            return self._new([]), self
-        red, inv, low = field._red, field._inv(b[-1]), b[:d]
-        q = []
-        for k in range(len(r) - 1, d - 1, -1):
-            c = red(r[k] * inv)
-            q.append(c)
-            if c:  # r[k] - c * b[d] vanishes; only r[:d] is kept
-                for i, y in enumerate(low, k - d):
-                    r[i] -= c * y
-        q.reverse()
-        return self._new(q), self._new(r[:d])
+        q, r = raw_divmod(self.field, self.raw, b)
+        return _poly(self.field, q), _poly(self.field, r)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -555,7 +604,7 @@ class Poly:
     def monic(self):
         if not self.raw:
             return self
-        return self._scale(self.field._inv(self.raw[-1]))
+        return _poly(self.field, raw_mul(self.field, self.raw, (self.field._inv(self.raw[-1]),)))
 
     def gcd(self, other):
         a, b = self, self._coerce(other)
@@ -566,21 +615,10 @@ class Poly:
     def xgcd(self, other):
         """(g, s, t) with s*self + t*other = g, g monic (or zero)."""
         field = self.field
-        a, b = self, self._coerce(other)
-        one, zero = Poly.one(field), self._new([])
-        s0, s1, t0, t1 = one, zero, zero, one
-        while b.raw:
-            q, r = a.divmod(b)
-            a, b = b, r
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if not a.raw:
-            return a, s0, t0
-        inv = field._inv(a.raw[-1])
-        return a._scale(inv), s0._scale(inv), t0._scale(inv)
+        return tuple(_poly(field, c) for c in raw_bezout(field, self.raw, self._coerce(other).raw))
 
     def derivative(self):
-        return self._new([i * c for i, c in enumerate(self.raw)][1:])
+        return _poly(self.field, self.field._trim([i * c for i, c in enumerate(self.raw)][1:]))
 
     def __call__(self, x):
         field = self.field

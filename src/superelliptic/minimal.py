@@ -228,7 +228,7 @@ def superelliptic_minimal(curve):
                     y_factor *= Fraction(p) ** beta
                 scale /= Fraction(p) ** (beta * d)
     new_curve = SuperellipticCurve(curve.n, form.to_poly())
-    point_out = moduli_point(new_curve)
+    point_out = moduli_point(new_curve) if lam > 1 else point  # lam = 1: the same form
     minimal, offending = is_minimal_tuple(point_out, d)
     return SuperellipticMinimalReport(
         curve=new_curve,

@@ -25,8 +25,8 @@ from superelliptic.cli import (
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-def _pinned():
-    with open(os.path.join(DATA, "pinned_cli.jsonl")) as fh:
+def _pinned(name="pinned_cli.jsonl"):
+    with open(os.path.join(DATA, name)) as fh:
         return [json.loads(line) for line in fh]
 
 
@@ -44,6 +44,16 @@ def _call(argv, batch=None, tmp=None):
 
 @pytest.mark.parametrize("case", _pinned(), ids=lambda c: " ".join(c["argv"][:2]))
 def test_pinned_transcript(case, tmp_path, capsys):
+    assert _call(case["argv"], case["batch"], tmp_path) == (case["exit"], case["stdout"])
+    capsys.readouterr()
+
+
+# jac-add (both methods, every pair kind, h = 0 and h != 0) and jac-validate
+# at the primes 1009, 65521 and 2^61 - 1 in genus 2 and 3, captured before
+# Cantor's addition moved onto raw residue vectors
+@pytest.mark.parametrize("case", _pinned("pinned_jacobian_cli.jsonl"),
+                         ids=lambda c: " ".join(c["argv"][:2]))
+def test_pinned_jacobian_transcript(case, tmp_path, capsys):
     assert _call(case["argv"], case["batch"], tmp_path) == (case["exit"], case["stdout"])
     capsys.readouterr()
 

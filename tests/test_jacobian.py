@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from superelliptic.algebra import GF, QQ, Poly
 from superelliptic.errors import DomainError, SingularCurveError, UnsupportedCaseError
 from superelliptic.jacobian import (
+    MAX_DIVISOR_PAIRS,
     ORDER_MAX_P,
     HyperCurve,
     MumfordDivisor,
@@ -549,6 +550,17 @@ def test_weil_data_x5_plus_1_gf7():
 def test_order_counts_match_enumeration():
     for curve in (C5, C7, C11):
         assert len(enumerate_divisors(curve)) == jacobian_order_g2(curve)
+
+
+def test_enumerate_divisors_refuses_past_its_cap():
+    # 19^2 + 19^4 = 130682 pairs are tried; 23^2 + 23^4 = 280370 are not
+    assert MAX_DIVISOR_PAIRS < 23**2 + 23**4
+    curve = HyperCurve.make(GF(23), [1, 0, 0, 0, 0, 1])
+    with pytest.raises(UnsupportedCaseError, match="tries 280370 .u, v. pairs"):
+        enumerate_divisors(curve)
+    genus3 = HyperCurve.make(GF(11), [2, 1, 0, 0, 0, 0, 0, 1])
+    with pytest.raises(UnsupportedCaseError, match="genus 3 tries 1786323 "):
+        enumerate_divisors(genus3)
 
 
 def test_order_in_hasse_interval():

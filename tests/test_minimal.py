@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,35 @@ def test_superelliptic_minimal_output_wgcd_one(rng):
         d = rep.curve.form_degree()
         thresholds = tuple((d * q) // 2 for q in rep.point_out.weights)
         assert wgcd(rep.point_out, weights=thresholds) == 1
+
+
+@pytest.mark.parametrize("coeffs, lam", [
+    ([3, -2, 7, 1, -5, 4], 1),
+    ([1, 2, -1, 3, 1, -2, 1], 1),
+    ([1, 1, 0, 2, -1, 1, 0, 3, 2], 1),
+    ([1 * 2**6, 2 * 2**5, -1 * 2**4, 3 * 2**3, 1 * 2**2, -2 * 2, 1], 2),
+])
+def test_superelliptic_minimal_reuses_the_input_point(monkeypatch, coeffs, lam):
+    # count calls under every name the package's modules bind moduli_point to
+    real, calls = moduli_point, []
+
+    def counted(curve):
+        calls.append(curve)
+        return real(curve)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "superelliptic":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+    curve = SuperellipticCurve(2, Poly(QQ, coeffs))
+    rep = superelliptic_minimal(curve)
+    assert rep.lam == lam
+    # an already minimal curve is its own output: one moduli point
+    assert len(calls) == (1 if lam == 1 else 2)
+    assert rep.point_out == real(rep.curve)
+    if lam == 1:
+        assert rep.curve.f == curve.f and rep.point_out == rep.point_in
 
 
 def test_superelliptic_minimal_rejects_unsupported():

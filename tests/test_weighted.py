@@ -7,8 +7,9 @@ import pytest
 
 from superelliptic.algebra import GF, QQ, Poly
 from superelliptic.curves import SuperellipticCurve
-from superelliptic.errors import DomainError, SingularCurveError
+from superelliptic.errors import DomainError, SingularCurveError, UnsupportedCaseError
 from superelliptic.weighted import (
+    MAX_HEIGHT_TUPLES,
     WeightedPoint,
     enumerate_bounded_height,
     moduli_point,
@@ -240,6 +241,15 @@ def test_enumeration_matches_brute_force(weights, bound):
 def test_enumeration_count_example():
     pts = enumerate_bounded_height((1, 1), 1)
     assert len(pts) == 4
+
+
+def test_enumeration_refuses_past_its_cap():
+    with pytest.raises(UnsupportedCaseError, match="tries 78503337 tuples"):
+        enumerate_bounded_height((2, 4, 6, 10), 2)
+    assert 7 * 19 * 55 <= MAX_HEIGHT_TUPLES < 19 * 55 * 163
+    assert len(enumerate_bounded_height((1, 2, 3), 3)) > 0
+    with pytest.raises(UnsupportedCaseError, match="tries 170335 tuples"):
+        enumerate_bounded_height((2, 3, 4), 3)
 
 
 def test_enumeration_below_floor_empty():
