@@ -7,10 +7,14 @@ Weil polynomial.
 Cantor's addition runs on the raw coefficient vectors of u and v (int
 residues over GF(p), Fractions over Q) through algebra's raw_* functions,
 the loops Poly itself wraps, and boxes the sum into a MumfordDivisor once.
-In the ladder of a 64-bit scalar_mul over GF(p), p near 1000, 65521 and
-2^61 - 1, an addition takes about 105 us in genus 2 and 185 us in genus 3
-(CPython 3.11 on a shared Intel Xeon), against 250 and 330 us when each
-step built Poly objects.
+In genus 2 over GF(p), a sum of two degree-2 divisors with coprime u1, u2,
+or a doubling with 2v + h prime to u, whose result has degree 2, takes
+Harley's explicit formulas with one inversion instead.  In the ladder of a
+64-bit scalar_mul (CPython 3.11 on a shared Intel Xeon), a genus-2
+addition then takes about 12 us at p near 1000 and at p = 65521 and 27 us
+at p = 2^61 - 1, against 115-175 us through the general code, and a
+genus-3 addition about 190 us at the two smaller primes and 300 us at
+2^61 - 1.
 """
 
 from dataclasses import dataclass
@@ -165,10 +169,31 @@ def _check_height(divisor, cap):
 
 def cantor_add(d1, d2, height_cap=None):
     """Sum of divisor classes by Cantor composition and reduction (Cantor,
-    Math. Comp. 48 (1987)), on the raw coefficient vectors of u and v.
+    Math. Comp. 48 (1987)), on the raw coefficient vectors of u and v."""
+    out = _cantor_sum(d1, d2)[0]
+    _check_height(out, height_cap)
+    return out
 
-    One xgcd per sum in the common cases: coprime u1, u2 compose by the
-    Chinese remainder theorem, and a doubling with 2v + h prime to u by
+
+def _cantor_sum(d1, d2):
+    """(D1 + D2, V): the reduced sum, and the raw composed v, the V with
+    V = v1 mod u1 and V = v2 mod u2, when u1, u2 are coprime and D1 != D2
+    (None otherwise).
+
+    In genus 2 over GF(p), with deg u1 = deg u2 = 2, Harley's explicit
+    formulas (Gaudry-Harley, ANTS-IV, LNCS 1838 (2000); Lange, AAECC 15
+    (2005)) give the sum in one straight line with one inversion: V =
+    v1 + u1 s for a linear s, and with k1 = (f - v1 (v1 + h))/u1,
+    f - V (V + h) = -u1 T for T = u1 s^2 + s (2 v1 + h) - k1, so u3 is
+    T/u2 made monic and v3 = -(V + h) mod u3.  s comes from the inverse of
+    a linear a x + b modulo the monic quadratic x^2 + c1 x + c0, which is
+    (-a x + b - a c1)/r with r = b^2 - a b c1 + a^2 c0, and exists iff
+    r != 0.  The pairs with r = 0 (a shared root, D + (-D), a doubling
+    through a Weierstrass point) or with a sum of degree < 2 (s1 = 0) fall
+    through to the general code below.
+
+    There, one xgcd per sum in the common cases: coprime u1, u2 compose by
+    the Chinese remainder theorem, and a doubling with 2v + h prime to u by
     Newton's step v + k u, k = (f - h v - v^2)/u / (2v + h) mod u.  Any
     other pair (a shared factor, D + (-D)) takes the general composition
     through the xgcds of (u1, u2) and (gcd, v1 + v2 + h).
@@ -179,11 +204,48 @@ def cantor_add(d1, d2, height_cap=None):
     field, g = curve.field, curve.genus
     f, h = curve.f.raw, curve.h.raw
     u1, v1, u2, v2 = d1.u.raw, d1.v.raw, d2.u.raw, d2.v.raw
+    double = u1 == u2 and v1 == v2
+    if g == 2 and len(u1) == len(u2) == 3 and isinstance(field, PrimeField):
+        p = field.p
+        a0, a1, _ = u1
+        b0, b1 = v1 + (0,) * (2 - len(v1))
+        c0, c1, _ = u2
+        h0, h1, h2 = h + (0,) * (3 - len(h))
+        k12 = f[4] - a1  # k1 = x^3 + k12 x^2 + k11 x + k10
+        if double:  # s = k1 (2v + h)^-1 mod u: w = k1 mod u, a x + b = 2v + h mod u
+            k11 = f[3] - b1 * h2 - a1 * k12 - a0
+            k10 = f[2] - b1 * (b1 + h1) - b0 * h2 - a1 * k11 - a0 * k12
+            w1, w0 = (a1 * a1 - a0 - a1 * k12 + k11) % p, (a1 * a0 - a0 * k12 + k10) % p
+            a, b = (2 * b1 + h1 - h2 * a1) % p, (2 * b0 + h0 - h2 * a0) % p
+        else:  # s = (v2 - v1) u1^-1 mod u2: w = v2 - v1, a x + b = u1 mod u2
+            e0, e1 = v2 + (0,) * (2 - len(v2))
+            w1, w0 = e1 - b1, e0 - b0
+            a, b = a1 - c1, a0 - c0
+        n0 = (b - a * c1) % p
+        r = (b * n0 + a * a * c0) % p
+        rs1 = (w1 * n0 - w0 * a + w1 * a * c1) % p  # r s = rs1 x + rs0
+        if r and rs1:
+            rs0 = (w0 * n0 + w1 * a * c0) % p
+            z = pow(r * rs1, -1, p)  # the one inversion
+            ir, i1 = z * rs1 % p, z * r * r % p  # 1/r and 1/s1
+            s1, s0 = rs1 * ir % p, rs0 * ir % p
+            i2 = i1 * i1 % p
+            # u3 = x^2 + m1 x + m0 = (T / u2) / s1^2, from the top of T
+            m1 = ((s1 * (2 * s0 + a1 * s1 + h2) - 1) * i2 - c1) % p
+            m0 = ((s0 * (s0 + 2 * a1 * s1 + h2) + s1 * (a0 * s1 + 2 * b1 + h1) - k12) * i2
+                  - c1 * m1 - c0) % p
+            V2, V1, V0 = (s0 + a1 * s1) % p, (b1 + a1 * s0 + a0 * s1) % p, (b0 + a0 * s0) % p
+            W2, W1, W0 = V2 + h2, V1 + h1, V0 + h0  # -v3 = V + h mod u3
+            y1 = (W2 * m1 - W1 - s1 * (m1 * m1 - m0)) % p
+            y0 = (W2 * m0 - W0 - s1 * m1 * m0) % p
+            v3 = (y0, y1) if y1 else (y0,) if y0 else ()
+            out = MumfordDivisor(curve, _poly(field, (m0, m1, 1)), _poly(field, v3))
+            return out, None if double else (V0, V1, V2, s1)
     add, sub, mul, div, exact, xgcd = (partial(op, field) for op in (
         raw_add, raw_sub, raw_mul, raw_divmod, raw_exact_div, raw_xgcd))
     one = (field._one,)
-    u3 = None
-    if u1 == u2 and v1 == v2:
+    u3 = cubic = None
+    if double:
         e, c = xgcd(add(add(v1, v1), h), u1)  # c = (2v + h)^-1 mod u if e = 1
         if e == one:
             k = div(mul(exact(sub(f, mul(v1, add(v1, h))), u1), c), u1)[1]
@@ -192,7 +254,7 @@ def cantor_add(d1, d2, height_cap=None):
         e, c = xgcd(u1, u2)  # c = u1^-1 mod u2 if e = 1
         if e == one:
             u3 = mul(u1, u2)
-            v3 = add(v1, mul(u1, div(mul(sub(v2, v1), c), u2)[1]))
+            v3 = cubic = add(v1, mul(u1, div(mul(sub(v2, v1), c), u2)[1]))
     if u3 is None:
         e, e1, e2 = raw_bezout(field, u1, u2)
         d, c1, c2 = raw_bezout(field, e, add(add(v1, v2), h))
@@ -205,9 +267,7 @@ def cantor_add(d1, d2, height_cap=None):
         v3 = div(sub((), add(h, v3)), u3)[1]
     u3 = mul(u3, (field._inv(u3[-1]),))
     v3 = div(v3, u3)[1] if len(u3) > 1 else ()
-    out = MumfordDivisor(curve, _poly(field, u3), _poly(field, v3))
-    _check_height(out, height_cap)
-    return out
+    return MumfordDivisor(curve, _poly(field, u3), _poly(field, v3)), cubic
 
 
 def negate(divisor):
@@ -242,34 +302,20 @@ class InterpolationSum:
 
 def interpolation_add_g2(d1, d2):
     """Genus-2 geometric addition through the cubic Y = g(X) through the
-    four supporting points; falls back to cantor_add (flagged) outside
-    general position."""
+    four supporting points: g is the composed V of Cantor's addition, and
+    the sum is the image under the involution of the two further points
+    where Y = g(X) meets the curve, u3 = (g^2 - f)/(u1 u2) made monic and
+    v3 = -g mod u3.  Outside general position (u1, u2 squarefree and
+    coprime, g of degree 3) the sum is Cantor's, flagged as a fallback."""
     curve = d1.curve
     if curve != d2.curve:
         raise DomainError("divisors live on different curves")
     if curve.genus != 2 or not curve.h.is_zero:
         raise DomainError("interpolation addition needs genus 2 and h = 0")
-    f = curve.f
-    u1, v1, u2, v2 = d1.u, d1.v, d2.u, d2.v
-    general = (
-        u1.degree == 2
-        and u2.degree == 2
-        and u1.gcd(u2).degree == 0
-        and u1.is_squarefree()
-        and u2.is_squarefree()
-    )
-    if general:
-        # cubic g with g = v1 mod u1, g = v2 mod u2 (Chinese remainder)
-        _, inv, _ = u1.xgcd(u2)
-        g = v1 + u1 * ((inv * (v2 - v1)) % u2)
-        if g.degree == 3:
-            u3 = (g * g - f).exact_div(u1 * u2).monic()
-            v3 = (-g) % u3
-            out = mumford_validate(u3, v3, curve)
-            return InterpolationSum(divisor=out, used_fallback=False, cubic=g)
-    return InterpolationSum(
-        divisor=cantor_add(d1, d2), used_fallback=True, cubic=None
-    )
+    out, g = _cantor_sum(d1, d2)
+    if g is not None and len(g) == 4 and d1.u.is_squarefree() and d2.u.is_squarefree():
+        return InterpolationSum(divisor=out, used_fallback=False, cubic=_poly(curve.field, g))
+    return InterpolationSum(divisor=out, used_fallback=True, cubic=None)
 
 
 # Largest number of (u, v) pairs enumerate_divisors tries: one divisibility

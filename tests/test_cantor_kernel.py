@@ -1,22 +1,29 @@
 """Cantor's addition on raw residue vectors against the Poly-based
 composition it replaced, kept here verbatim as an oracle, and scalar_mul
-against repeated addition."""
+against repeated addition; the genus-2 explicit formulas over GF(p) and
+the pairs they decline; the interpolation adder against its Poly-based
+version."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from superelliptic.algebra import GF, QQ, Poly, lagrange_interpolate
+from superelliptic import jacobian
+from superelliptic.algebra import GF, QQ, Poly, kth_roots_in_field, lagrange_interpolate
 from superelliptic.errors import DomainError, SingularCurveError
 from superelliptic.jacobian import (
     HyperCurve,
+    InterpolationSum,
     MumfordDivisor,
     _check_height,
     cantor_add,
     divisor_from_points,
     identity,
+    interpolation_add_g2,
     jacobian_order_g2,
+    mumford_validate,
     negate,
     scalar_mul,
 )
@@ -56,18 +63,23 @@ def _scalar(field):
 
 
 @st.composite
-def curves_with_points(draw, field, genus=None):
+def curves_with_points(draw, field, genus=None, with_h=None, weierstrass=None):
     """(curve, points): y^2 + h y = f through affine points with distinct
     x, f monic of degree 2g + 1 built to fit them; the first point is a
-    Weierstrass point (2y + h = 0) when the draw asks for one."""
+    Weierstrass point (2y + h = 0) when the draw asks for one.  with_h and
+    weierstrass, when given, fix whether h != 0 and whether the first
+    point is a Weierstrass point."""
     g = draw(st.sampled_from((2, 3))) if genus is None else genus
     xs_range = st.integers(-12, 12) if field == QQ else st.integers(0, field.p - 1)
     room = 2 * g + 1 if field == QQ else min(2 * g + 1, field.p)
     xs = draw(st.lists(xs_range, min_size=2, max_size=room, unique=True))
     xs = [field.of(x) for x in xs]
-    h = Poly(field, draw(st.lists(_scalar(field), max_size=g + 1)) if draw(st.booleans()) else [])
+    h_on = draw(st.booleans()) if with_h is None else with_h
+    h = Poly(field, draw(st.lists(_scalar(field), max_size=g + 1)) if h_on else [])
+    if with_h is not None:
+        assume(h.is_zero != with_h)
     ys = [field.of(draw(_scalar(field))) for _ in xs]
-    if draw(st.booleans()):
+    if draw(st.booleans()) if weierstrass is None else weierstrass:
         ys[0] = -h(xs[0]) / 2
     top = Poly(field, [0] * (2 * g + 1) + [1])
     vals = [y * y + h(x) * y - top(x) for x, y in zip(xs, ys)]
@@ -158,3 +170,163 @@ def test_height_cap_over_qq_matches_the_oracle():
         d = d2
         if cap > 10**30:
             break
+
+
+# ---------------------------------------------------------------------------
+# genus 2 over GF(p): the explicit formulas inside cantor_add, and the pairs
+# they decline, which take the general composition (its xgcds)
+
+GF_NAMES = [name for name in FIELDS if name != "QQ"]
+G2_SETTINGS = settings(max_examples=20, deadline=None,
+                       suppress_health_check=[HealthCheck.too_slow,
+                                              HealthCheck.filter_too_much])
+
+
+@contextmanager
+def counting_xgcd():
+    """Count the calls of raw_xgcd and raw_bezout made by cantor_add."""
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jacobian, "raw_xgcd", counted(jacobian.raw_xgcd))
+        mp.setattr(jacobian, "raw_bezout", counted(jacobian.raw_bezout))
+        yield calls
+
+
+def _explicit(x, y):
+    """Whether the explicit formulas cover x + y: both of degree 2, u1 and
+    u2 coprime (2v + h prime to u for a doubling) and a sum of degree 2."""
+    if x.u.degree != 2 or y.u.degree != 2:
+        return False
+    other = y.u if x != y else 2 * x.v + x.curve.h
+    return x.u.gcd(other).degree == 0 and oracle_cantor_add(x, y).u.degree == 2
+
+
+@pytest.mark.parametrize("with_h", [False, True], ids=["h=0", "h!=0"])
+@pytest.mark.parametrize("name", GF_NAMES)
+@G2_SETTINGS
+@given(data=st.data())
+def test_explicit_g2_sum_matches_poly_oracle(name, with_h, data):
+    curve, pts = data.draw(curves_with_points(FIELDS[name], genus=2, with_h=with_h))
+    divs = [d for d in _divisors(data.draw, curve, pts).values() if d.u.degree == 2]
+    for x in divs:
+        for y in divs + [negate(x)]:  # additions, doublings (x, x), D + (-D)
+            with counting_xgcd() as calls:
+                got = cantor_add(x, y)
+            assert got == oracle_cantor_add(x, y)
+            assert (calls[0] == 0) == _explicit(x, y)
+
+
+@pytest.mark.parametrize("name", GF_NAMES)
+@G2_SETTINGS
+@given(data=st.data())
+def test_explicit_g2_declines_a_shared_root(name, data):
+    curve, pts = data.draw(curves_with_points(FIELDS[name], genus=2))
+    assume(len(pts) >= 3)
+    d1 = divisor_from_points(curve, pts[:2])
+    d2 = divisor_from_points(curve, [pts[0], pts[2]])  # r = Res(u1, u2) = 0
+    with counting_xgcd() as calls:
+        assert cantor_add(d1, d2) == oracle_cantor_add(d1, d2)
+    assert calls[0] >= 1
+
+
+@pytest.mark.parametrize("name", GF_NAMES)
+@G2_SETTINGS
+@given(data=st.data())
+def test_explicit_g2_declines_a_doubling_through_a_weierstrass_point(name, data):
+    curve, pts = data.draw(curves_with_points(FIELDS[name], genus=2, weierstrass=True))
+    d = divisor_from_points(curve, pts[:2])  # 2v + h vanishes at pts[0]
+    with counting_xgcd() as calls:
+        assert cantor_add(d, d) == oracle_cantor_add(d, d)
+    assert calls[0] >= 1
+
+
+@pytest.mark.parametrize("name", GF_NAMES)
+@G2_SETTINGS
+@given(data=st.data())
+def test_explicit_g2_declines_a_sum_of_degree_1(name, data):
+    # D2 = D3 - D1 for a degree-1 D3, so D1 + D2 = D3 and s1 = 0
+    curve, pts = data.draw(curves_with_points(FIELDS[name], genus=2))
+    assume(len(pts) >= 3)
+    d1 = divisor_from_points(curve, pts[:2])
+    d3 = divisor_from_points(curve, pts[2:3])
+    d2 = oracle_cantor_add(d3, negate(d1))
+    assume(d2.u.degree == 2 and d1.u.gcd(d2.u).degree == 0)
+    with counting_xgcd() as calls:
+        assert cantor_add(d1, d2) == d3
+    assert calls[0] >= 1
+
+
+def test_explicit_g2_branch_is_taken():
+    # a gate that sent every pair to the general composition would still
+    # pass every test above that compares sums
+    field = GF(65521)
+    curve = HyperCurve.make(field, [7, 3, 0, 5, 2, 1], [1, 0, 4])
+    pts = []
+    x = 1
+    while len(pts) < 4:
+        w = 4 * curve.f(field.of(x)) + curve.h(field.of(x)) ** 2
+        roots = kth_roots_in_field(w, 2, field)
+        if roots and roots[0] != 0:
+            pts.append((x, (roots[0] - curve.h(field.of(x))) / 2))
+        x += 1
+    a = divisor_from_points(curve, pts[:2])
+    b = divisor_from_points(curve, pts[2:])
+    shared = divisor_from_points(curve, [pts[0], pts[2]])
+    for x, y, general in [(a, b, False), (a, a, False), (a, shared, True)]:
+        with counting_xgcd() as calls:
+            assert cantor_add(x, y) == oracle_cantor_add(x, y)
+        assert (calls[0] >= 1) == general
+
+
+def oracle_interpolation_add_g2(d1, d2):
+    """interpolation_add_g2 as it composed its own cubic with Poly objects,
+    verbatim but for oracle_cantor_add in the fallback."""
+    curve = d1.curve
+    if curve != d2.curve:
+        raise DomainError("divisors live on different curves")
+    if curve.genus != 2 or not curve.h.is_zero:
+        raise DomainError("interpolation addition needs genus 2 and h = 0")
+    f = curve.f
+    u1, v1, u2, v2 = d1.u, d1.v, d2.u, d2.v
+    general = (
+        u1.degree == 2
+        and u2.degree == 2
+        and u1.gcd(u2).degree == 0
+        and u1.is_squarefree()
+        and u2.is_squarefree()
+    )
+    if general:
+        # cubic g with g = v1 mod u1, g = v2 mod u2 (Chinese remainder)
+        _, inv, _ = u1.xgcd(u2)
+        g = v1 + u1 * ((inv * (v2 - v1)) % u2)
+        if g.degree == 3:
+            u3 = (g * g - f).exact_div(u1 * u2).monic()
+            v3 = (-g) % u3
+            out = mumford_validate(u3, v3, curve)
+            return InterpolationSum(divisor=out, used_fallback=False, cubic=g)
+    return InterpolationSum(
+        divisor=oracle_cantor_add(d1, d2), used_fallback=True, cubic=None
+    )
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+@G2_SETTINGS
+@given(data=st.data())
+def test_interpolation_add_g2_matches_its_poly_version(name, data):
+    curve, pts = data.draw(curves_with_points(FIELDS[name], genus=2, with_h=False))
+    divs = list(_divisors(data.draw, curve, pts).values())
+    if len(pts) >= 3:  # a pair whose sum has degree 1
+        d1 = divisor_from_points(curve, pts[:2])
+        divs += [d1, oracle_cantor_add(divisor_from_points(curve, pts[2:3]), negate(d1))]
+    for x in divs:
+        for y in divs + [negate(x)]:
+            got, want = interpolation_add_g2(x, y), oracle_interpolation_add_g2(x, y)
+            assert (got.divisor, got.used_fallback, got.cubic) == (
+                want.divisor, want.used_fallback, want.cubic)
