@@ -7,14 +7,14 @@ Weil polynomial.
 Cantor's addition runs on the raw coefficient vectors of u and v (int
 residues over GF(p), Fractions over Q) through algebra's raw_* functions,
 the loops Poly itself wraps, and boxes the sum into a MumfordDivisor once.
-In genus 2 over GF(p), a sum of two degree-2 divisors with coprime u1, u2,
-or a doubling with 2v + h prime to u, whose result has degree 2, takes
-Harley's explicit formulas with one inversion instead.  In the ladder of a
-64-bit scalar_mul (CPython 3.11 on a shared Intel Xeon), a genus-2
-addition then takes about 12 us at p near 1000 and at p = 65521 and 27 us
-at p = 2^61 - 1, against 115-175 us through the general code, and a
-genus-3 addition about 190 us at the two smaller primes and 300 us at
-2^61 - 1.
+In genus g = 2 or 3 over GF(p), a sum of two degree-g divisors with
+coprime u1, u2, or a doubling with 2v + h prime to u, whose result has
+degree g, takes explicit formulas with one inversion instead.  In the
+ladder of a 64-bit scalar_mul (CPython 3.11 on a shared Intel Xeon), a
+genus-2 addition then takes about 12 us at p near 1000 and at p = 65521
+and 27 us at p = 2^61 - 1, and a genus-3 addition 11-20 us at the two
+smaller primes and 31-48 us at 2^61 - 1 (three runs), against 115-175 us
+(genus 2) and 135-330 us (genus 3) through the general code.
 """
 
 from dataclasses import dataclass
@@ -192,6 +192,23 @@ def _cantor_sum(d1, d2):
     through a Weierstrass point) or with a sum of degree < 2 (s1 = 0) fall
     through to the general code below.
 
+    In genus 3 over GF(p), with deg u1 = deg u2 = 3, the same line runs
+    with a quadratic s (after Pelzl-Wollinger-Guajardo-Paar, CHES 2003;
+    Wollinger-Pelzl-Paar, IEEE Trans. Comput. 54 (2005)): with t = u1 - u2
+    and w = v2 - v1 for an addition, t = 2v + h mod u and w = (f - v (v +
+    h))/u mod u for a doubling, s = w/t mod u2 solves M s = w for the
+    matrix M of multiplication by t mod u2, so r s = adj(M) w with r =
+    det M = Res(u2, t).  Then V = v1 + u1 s has degree 5, u' = (f - V (V +
+    h))/(u1 u2) has degree 4 and leading coefficient -s2^2, v' = -(V + h)
+    mod u', and u'' = (f - v' (v' + h))/u' is monic of degree 3, as f is
+    monic of degree 7, with v'' = -(v' + h) mod u''; both quotients are
+    read from the top coefficients.  One inversion, of r s2, gives 1/r
+    and 1/s2.  The pairs with r = 0 (a shared root, D + (-D), a doubling
+    through a Weierstrass point) or with a sum of degree < 3 (s2 = 0) pay
+    for r (and r s2) and fall through.  In a 64-bit scalar_mul ladder a
+    genus-3 sum takes 11-20 us at p near 1000 and 65521 and 31-48 us at
+    p = 2^61 - 1, against 135-330 us in the general code.
+
     There, one xgcd per sum in the common cases: coprime u1, u2 compose by
     the Chinese remainder theorem, and a doubling with 2v + h prime to u by
     Newton's step v + k u, k = (f - h v - v^2)/u / (2v + h) mod u.  Any
@@ -241,6 +258,65 @@ def _cantor_sum(d1, d2):
             v3 = (y0, y1) if y1 else (y0,) if y0 else ()
             out = MumfordDivisor(curve, _poly(field, (m0, m1, 1)), _poly(field, v3))
             return out, None if double else (V0, V1, V2, s1)
+    if g == 3 and len(u1) == len(u2) == 4 and isinstance(field, PrimeField):
+        p = field.p
+        a0, a1, a2, _ = u1
+        b0, b1, b2 = v1 + (0,) * (3 - len(v1))
+        c0, c1, c2, _ = u2
+        h0, h1, h2, h3 = h + (0,) * (4 - len(h))
+        f4, f5, f6 = f[4:7]
+        if double:  # t = 2v + h mod u, w = k mod u for k = (f - v (v + h))/u
+            t0, t1 = (2 * b0 + h0 - h3 * a0) % p, (2 * b1 + h1 - h3 * a1) % p
+            t2 = (2 * b2 + h2 - h3 * a2) % p
+            k3 = f6 - a2  # k = x^4 + k3 x^3 + k2 x^2 + k1 x + k0
+            k2 = (f5 - b2 * h3 - a2 * k3 - a1) % p
+            k1 = (f4 - b1 * h3 - b2 * (b2 + h2) - a2 * k2 - a1 * k3 - a0) % p
+            k0 = f[3] - b0 * h3 - b1 * (b2 + h2) - b2 * (b1 + h1) - a2 * k1 - a1 * k2 - a0 * k3
+            q = k3 - a2
+            w0, w1, w2 = (k0 - q * a0) % p, (k1 - a0 - q * a1) % p, (k2 - a1 - q * a2) % p
+        else:  # t = u1 - u2 = u1 mod u2, w = v2 - v1
+            e0, e1, e2 = v2 + (0,) * (3 - len(v2))
+            t0, t1, t2 = a0 - c0, a1 - c1, a2 - c2
+            w0, w1, w2 = e0 - b0, e1 - b1, e2 - b2
+        # s = w t^-1 mod u2 solves M s = w, M = (t, x t, x^2 t mod u2) by columns
+        x0, x1, x2 = -t2 * c0 % p, (t0 - t2 * c1) % p, (t1 - t2 * c2) % p
+        y0, y1, y2 = -x2 * c0 % p, (x0 - x2 * c1) % p, (x1 - x2 * c2) % p
+        j0, j1, j2 = x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0
+        r = (t0 * j0 + t1 * j1 + t2 * j2) % p  # det M = Res(u2, t)
+        rs2 = r and (w0 * (t1 * x2 - t2 * x1) + w1 * (t2 * x0 - t0 * x2)
+                     + w2 * (t0 * x1 - t1 * x0)) % p  # r s = adj(M) w
+        if rs2:
+            rs0 = (w0 * j0 + w1 * j1 + w2 * j2) % p
+            rs1 = (w0 * (t2 * y1 - t1 * y2) + w1 * (t0 * y2 - t2 * y0)
+                   + w2 * (t1 * y0 - t0 * y1)) % p
+            z = pow(r * rs2, -1, p)  # the one inversion
+            ir, i1 = z * rs2 % p, z * r * r % p  # 1/r and 1/s2
+            s0, s1, s2, i2 = rs0 * ir % p, rs1 * ir % p, rs2 * ir % p, i1 * i1 % p
+            V0, V1 = (b0 + a0 * s0) % p, (b1 + a0 * s1 + a1 * s0) % p  # V = v1 + u1 s
+            V2, V3 = (b2 + a0 * s2 + a1 * s1 + a2 * s0) % p, (a1 * s2 + a2 * s1 + s0) % p
+            V4, G3, G2, G1 = (a2 * s2 + s1) % p, V3 + h3, V2 + h2, V1 + h1
+            # u' = x^4 + m3 x^3 + ... = (f - V (V + h))/(u1 u2) / -s2^2, from the top
+            U5, U4 = a2 + c2, a1 + a2 * c2 + c1
+            U3, U2 = a0 + a1 * c2 + a2 * c1 + c0, a0 * c2 + a1 * c1 + a2 * c0
+            m3 = (2 * V4 * i1 - U5) % p
+            m2 = ((s2 * (V3 + G3) + V4 * V4) * i2 - U5 * m3 - U4) % p
+            m1 = ((s2 * (V2 + G2) + V4 * (V3 + G3) - 1) * i2 - U5 * m2 - U4 * m3 - U3) % p
+            m0 = ((s2 * (V1 + G1) + V4 * (V2 + G2) + V3 * G3 - f6) * i2
+                  - U5 * m1 - U4 * m2 - U3 * m3 - U2) % p
+            # v' = -(V + h) mod u' = n3 x^3 + ... + n0, and K = v' + h
+            q = V4 - s2 * m3
+            K3 = (s2 * m2 + q * m3 - G3 + h3) % p
+            K2 = (s2 * m1 + q * m2 - G2 + h2) % p
+            K1 = (s2 * m0 + q * m1 - G1 + h1) % p
+            K0 = (q * m0 - V0) % p
+            # u'' = (f - v' K)/u', monic of degree 3, and v'' = -K mod u''
+            n3, n2, n1 = K3 - h3, K2 - h2, K1 - h1
+            d2 = (f6 - n3 * K3 - m3) % p
+            d1 = (f5 - n2 * K3 - n3 * K2 - m3 * d2 - m2) % p
+            d0 = (f4 - n1 * K3 - n2 * K2 - n3 * K1 - m3 * d1 - m2 * d2 - m1) % p
+            v3 = field._trim([K3 * d0 - K0, K3 * d1 - K1, K3 * d2 - K2])
+            out = MumfordDivisor(curve, _poly(field, (d0, d1, d2, 1)), _poly(field, v3))
+            return out, None if double else (V0, V1, V2, V3, V4, s2)
     add, sub, mul, div, exact, xgcd = (partial(op, field) for op in (
         raw_add, raw_sub, raw_mul, raw_divmod, raw_exact_div, raw_xgcd))
     one = (field._one,)
@@ -313,7 +389,10 @@ def interpolation_add_g2(d1, d2):
     if curve.genus != 2 or not curve.h.is_zero:
         raise DomainError("interpolation addition needs genus 2 and h = 0")
     out, g = _cantor_sum(d1, d2)
-    if g is not None and len(g) == 4 and d1.u.is_squarefree() and d2.u.is_squarefree():
+    # a cubic g makes u1 and u2 monic quadratics, squarefree iff c1^2 != 4 c0
+    red = curve.field._red
+    if g is not None and len(g) == 4 and all(
+            red(c1 * c1 - 4 * c0) for c0, c1, _ in (d1.u.raw, d2.u.raw)):
         return InterpolationSum(divisor=out, used_fallback=False, cubic=_poly(curve.field, g))
     return InterpolationSum(divisor=out, used_fallback=True, cubic=None)
 

@@ -1,8 +1,8 @@
 """Cantor's addition on raw residue vectors against the Poly-based
 composition it replaced, kept here verbatim as an oracle, and scalar_mul
-against repeated addition; the genus-2 explicit formulas over GF(p) and
-the pairs they decline; the interpolation adder against its Poly-based
-version."""
+against repeated addition; the genus-2 and genus-3 explicit formulas over
+GF(p) and the pairs they decline; the interpolation adder against its
+Poly-based version."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -199,13 +199,15 @@ def counting_xgcd():
         yield calls
 
 
-def _explicit(x, y):
-    """Whether the explicit formulas cover x + y: both of degree 2, u1 and
-    u2 coprime (2v + h prime to u for a doubling) and a sum of degree 2."""
-    if x.u.degree != 2 or y.u.degree != 2:
+def _explicit(x, y, total):
+    """Whether the explicit formulas cover x + y = total: x and y of degree
+    g, u1 and u2 coprime (2v + h prime to u for a doubling) and a total of
+    degree g."""
+    g = x.curve.genus
+    if x.u.degree != g or y.u.degree != g:
         return False
     other = y.u if x != y else 2 * x.v + x.curve.h
-    return x.u.gcd(other).degree == 0 and oracle_cantor_add(x, y).u.degree == 2
+    return x.u.gcd(other).degree == 0 and total.u.degree == g
 
 
 @pytest.mark.parametrize("with_h", [False, True], ids=["h=0", "h!=0"])
@@ -219,8 +221,9 @@ def test_explicit_g2_sum_matches_poly_oracle(name, with_h, data):
         for y in divs + [negate(x)]:  # additions, doublings (x, x), D + (-D)
             with counting_xgcd() as calls:
                 got = cantor_add(x, y)
-            assert got == oracle_cantor_add(x, y)
-            assert (calls[0] == 0) == _explicit(x, y)
+            want = oracle_cantor_add(x, y)
+            assert got == want
+            assert (calls[0] == 0) == _explicit(x, y, want)
 
 
 @pytest.mark.parametrize("name", GF_NAMES)
@@ -263,19 +266,25 @@ def test_explicit_g2_declines_a_sum_of_degree_1(name, data):
     assert calls[0] >= 1
 
 
-def test_explicit_g2_branch_is_taken():
-    # a gate that sent every pair to the general composition would still
-    # pass every test above that compares sums
-    field = GF(65521)
-    curve = HyperCurve.make(field, [7, 3, 0, 5, 2, 1], [1, 0, 4])
+def _rational_points(curve, n):
+    """The first n affine points off the Weierstrass locus, by x = 1, 2, ..."""
+    field = curve.field
     pts = []
     x = 1
-    while len(pts) < 4:
+    while len(pts) < n:
         w = 4 * curve.f(field.of(x)) + curve.h(field.of(x)) ** 2
         roots = kth_roots_in_field(w, 2, field)
         if roots and roots[0] != 0:
             pts.append((x, (roots[0] - curve.h(field.of(x))) / 2))
         x += 1
+    return pts
+
+
+def test_explicit_g2_branch_is_taken():
+    # a gate that sent every pair to the general composition would still
+    # pass every test above that compares sums
+    curve = HyperCurve.make(GF(65521), [7, 3, 0, 5, 2, 1], [1, 0, 4])
+    pts = _rational_points(curve, 4)
     a = divisor_from_points(curve, pts[:2])
     b = divisor_from_points(curve, pts[2:])
     shared = divisor_from_points(curve, [pts[0], pts[2]])
@@ -283,6 +292,125 @@ def test_explicit_g2_branch_is_taken():
         with counting_xgcd() as calls:
             assert cantor_add(x, y) == oracle_cantor_add(x, y)
         assert (calls[0] >= 1) == general
+
+
+# ---------------------------------------------------------------------------
+# genus 3 over GF(p): the explicit sum inside cantor_add (s = w t^-1 mod u2
+# from a 3 x 3 adjugate) and the pairs it declines
+
+G3_FIELDS = {"GF(3)": GF(3), **{name: FIELDS[name] for name in GF_NAMES}}
+G3_SETTINGS = settings(max_examples=15, deadline=None,
+                       suppress_health_check=[HealthCheck.too_slow,
+                                              HealthCheck.filter_too_much])
+
+
+def _degree_3_divisors(draw, curve, pts):
+    """The degree-3 divisors among _divisors and the multiples 2..5 of
+    a + b, which over the smallest fields are the only ones of degree 3."""
+    divs = _divisors(draw, curve, pts)
+    ladder = [divs["a+b"]]
+    for _ in range(4):
+        ladder.append(oracle_cantor_add(ladder[-1], divs["a+b"]))
+    return [d for d in dict.fromkeys([*divs.values(), *ladder]) if d.u.degree == 3]
+
+
+@pytest.mark.parametrize("with_h", [False, True], ids=["h=0", "h!=0"])
+@pytest.mark.parametrize("name", list(G3_FIELDS))
+@G3_SETTINGS
+@given(data=st.data())
+def test_explicit_g3_sum_matches_poly_oracle(name, with_h, data):
+    curve, pts = data.draw(curves_with_points(G3_FIELDS[name], genus=3, with_h=with_h))
+    divs = _degree_3_divisors(data.draw, curve, pts)
+    for x in divs:
+        for y in divs + [negate(x)]:  # additions, doublings (x, x), D + (-D)
+            with counting_xgcd() as calls:
+                got = cantor_add(x, y)
+            want = oracle_cantor_add(x, y)
+            assert got == want
+            assert (calls[0] == 0) == _explicit(x, y, want)
+
+
+@pytest.mark.parametrize("name", GF_NAMES)
+@G3_SETTINGS
+@given(data=st.data())
+def test_explicit_g3_declines_a_shared_root(name, data):
+    curve, pts = data.draw(curves_with_points(FIELDS[name], genus=3))
+    assume(len(pts) >= 5)
+    d1 = divisor_from_points(curve, pts[:3])
+    d2 = divisor_from_points(curve, [pts[0], pts[3], pts[4]])  # r = Res(u2, u1) = 0
+    with counting_xgcd() as calls:
+        assert cantor_add(d1, d2) == oracle_cantor_add(d1, d2)
+    assert calls[0] >= 1
+
+
+@pytest.mark.parametrize("name", GF_NAMES)
+@G3_SETTINGS
+@given(data=st.data())
+def test_explicit_g3_declines_d_plus_minus_d(name, data):
+    curve, pts = data.draw(curves_with_points(FIELDS[name], genus=3))
+    assume(len(pts) >= 3)
+    d = divisor_from_points(curve, pts[:3])  # u1 = u2, so t = 0
+    with counting_xgcd() as calls:
+        assert cantor_add(d, negate(d)).is_identity
+    assert calls[0] >= 1
+
+
+@pytest.mark.parametrize("name", GF_NAMES)
+@G3_SETTINGS
+@given(data=st.data())
+def test_explicit_g3_declines_a_doubling_through_a_weierstrass_point(name, data):
+    curve, pts = data.draw(curves_with_points(FIELDS[name], genus=3, weierstrass=True))
+    assume(len(pts) >= 3)
+    d = divisor_from_points(curve, pts[:3])  # 2v + h vanishes at pts[0]
+    with counting_xgcd() as calls:
+        assert cantor_add(d, d) == oracle_cantor_add(d, d)
+    assert calls[0] >= 1
+
+
+@pytest.mark.parametrize("name", GF_NAMES)
+@G3_SETTINGS
+@given(data=st.data())
+def test_explicit_g3_declines_a_sum_of_degree_below_3(name, data):
+    # D2 = D3 - D1 for D3 of degree 1 or 2, so D1 + D2 = D3 and s2 = 0
+    curve, pts = data.draw(curves_with_points(FIELDS[name], genus=3))
+    assume(len(pts) >= 4)
+    d1 = divisor_from_points(curve, pts[:3])
+    d3 = divisor_from_points(curve, pts[3:5])
+    d2 = oracle_cantor_add(d3, negate(d1))
+    assume(d2.u.degree == 3 and d1.u.gcd(d2.u).degree == 0)
+    with counting_xgcd() as calls:
+        assert cantor_add(d1, d2) == d3
+    assert calls[0] >= 1
+
+
+def test_explicit_g3_branch_is_taken():
+    # as for genus 2: a gate that sent every pair to the general code would
+    # pass the comparisons above
+    curve = HyperCurve.make(GF(65521), [5, 0, 11, 3, 0, 7, 2, 1], [3, 1, 0, 2])
+    pts = _rational_points(curve, 6)
+    a = divisor_from_points(curve, pts[:3])
+    b = divisor_from_points(curve, pts[3:])
+    shared = divisor_from_points(curve, [pts[0], pts[3], pts[4]])
+    for x, y, general in [(a, b, False), (a, a, False), (a, shared, True)]:
+        with counting_xgcd() as calls:
+            assert cantor_add(x, y) == oracle_cantor_add(x, y)
+        assert (calls[0] >= 1) == general
+
+
+@pytest.mark.parametrize("name", ["GF(1009)", "GF(65521)", "GF(2^61-1)"])
+@settings(max_examples=5, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_g3_scalar_mul_is_repeated_addition(name, data):
+    # a long ladder of explicit doublings and additions with h != 0
+    curve, pts = data.draw(curves_with_points(FIELDS[name], genus=3, with_h=True))
+    assume(len(pts) >= 3)
+    d = divisor_from_points(curve, pts[:3])
+    k = data.draw(st.integers(8, 200))
+    acc = identity(curve)
+    for _ in range(k):
+        acc = oracle_cantor_add(acc, d)
+    assert scalar_mul(k, d) == acc
 
 
 def oracle_interpolation_add_g2(d1, d2):

@@ -50,10 +50,13 @@ def test_pinned_transcript(case, tmp_path, capsys):
 
 # jac-add (both methods, every pair kind, h = 0 and h != 0) and jac-validate
 # at the primes 1009, 65521 and 2^61 - 1 in genus 2 and 3, captured before
-# Cantor's addition moved onto raw residue vectors; the last 45 lines, in
+# Cantor's addition moved onto raw residue vectors; the next 45 lines, in
 # genus 2 with h != 0 and h = 0 (both methods), add a generic sum and
 # doubling, a shared root, a doubling through a Weierstrass point and a sum
-# of degree 1, captured before the explicit genus-2 formulas
+# of degree 1, captured before the explicit genus-2 formulas; the last 24,
+# in genus 3 with h = 0 and h != 0, add a shared root, D + (-D), a doubling
+# through a Weierstrass point and a sum of degree 2, captured before the
+# explicit genus-3 formulas
 @pytest.mark.parametrize("case", _pinned("pinned_jacobian_cli.jsonl"),
                          ids=lambda c: " ".join(c["argv"][:2]))
 def test_pinned_jacobian_transcript(case, tmp_path, capsys):
