@@ -339,12 +339,13 @@ class PrimeField:
         raise DomainError(f"cannot coerce {v!r} into GF({self.p})")
 
     def from_fraction(self, q):
-        q = Fraction(q)
-        if q.denominator % self.p == 0:
-            raise CharacteristicError(
-                f"denominator {q.denominator} not invertible mod {self.p}"
-            )
-        return GFElement(q.numerator * pow(q.denominator, -1, self.p), self.p)
+        """The residue of the rational q, a Fraction or an int."""
+        num, den = q.numerator, q.denominator
+        if den == 1:
+            return GFElement(num, self.p)
+        if den % self.p == 0:
+            raise CharacteristicError(f"denominator {den} not invertible mod {self.p}")
+        return GFElement(num * pow(den, -1, self.p), self.p)
 
     @property
     def zero(self):

@@ -12,7 +12,10 @@ Exit codes: 0 success, 2 usage error, 3 domain error (singular curve,
 unsupported case, bad mathematical input, a result number past CPython's
 int-to-str digit limit), 4 parse error (bad JSON or a bad value).  Batch
 mode (--input file.jsonl) emits one output line per input line; a failing
-line becomes an error object and never aborts the batch.
+line becomes an error object and never aborts the batch.  A batch checks a
+field and a curve once per run of lines naming them: each `main` call
+keeps the last GF(p) it built and the last curve that passed
+`HyperCurve`'s checks, and starts with neither.
 """
 
 import argparse
@@ -67,6 +70,23 @@ KINDS = {"int": (int_in, False), "str": (str_in, False),
 # scalar and document (de)serialization
 
 
+# The last GF(p) built and the last HyperCurve checked by the running
+# `main` call, each as (key, value); `main` empties it on entry and on
+# exit.  A field or curve that raised is never kept, and a kept value is
+# what its key would build again.
+_last = {}
+
+
+def _reuse(slot, key, build):
+    """The value kept in `slot` if its key equals `key`, else build()."""
+    last = _last.get(slot)
+    if last is not None and last[0] == key:
+        return last[1]
+    value = build()
+    _last[slot] = (key, value)
+    return value
+
+
 def parse_field(name):
     if name == "Q":
         return QQ
@@ -75,7 +95,7 @@ def parse_field(name):
             p = int(name[3:-1])
         except ValueError:
             raise ParseError(f"bad field {name!r}")
-        return GF(p)
+        return _reuse("field", name, lambda: GF(p))
     raise ParseError(f"unknown field {name!r}; use \"Q\" or \"GF(p)\"")
 
 
@@ -90,6 +110,13 @@ def scalar_out(x):
 
 
 def scalar_in(field, s):
+    if type(s) is str:  # int() takes a subset of what Fraction() takes
+        try:
+            v = int(s)
+        except ValueError:
+            pass
+        else:
+            return field.of(v)
     try:
         return field.of(Fraction(str(s)))
     except (ValueError, ZeroDivisionError) as e:
@@ -97,7 +124,7 @@ def scalar_in(field, s):
 
 
 def poly_out(p):
-    return [scalar_out(c) for c in p.coeffs]
+    return [str(c) for c in p.raw]  # int residues over GF(p), Fractions over Q
 
 
 def poly_in(field, coeffs):
@@ -134,7 +161,8 @@ def parse_hyper(doc):
         h = poly_in(field, doc.get("h", []))
     except KeyError as e:
         raise ParseError(f"curve document missing key {e}")
-    return jacobian.HyperCurve(f, h)
+    # keyed on parsed values, not JSON ones: [1] == [True]
+    return _reuse("curve", (field, f.raw, h.raw), lambda: jacobian.HyperCurve(f, h))
 
 
 def parse_point(doc):
@@ -450,19 +478,23 @@ def main(argv=None, out=None):
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_USAGE
     flags = {k: v for k, v in vars(ns).items() if k in PARAMS[ns.command] and v is not None}
-    if not ns.input:
-        code, text = _run(ns.command, flags, ns.format)
-        out.write(text)
-        return code
+    _last.clear()
     try:
-        with open(ns.input) as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as e:
-        out.write(_dumps(_error_obj("io", e), ns.format))
-        return EXIT_USAGE
-    for line in lines:
-        out.write(_run(ns.command, flags, ns.format, line)[1] if line.strip() else "{}\n")
-    return EXIT_OK
+        if not ns.input:
+            code, text = _run(ns.command, flags, ns.format)
+            out.write(text)
+            return code
+        try:
+            with open(ns.input) as fh:
+                lines = fh.read().splitlines()
+        except (OSError, UnicodeDecodeError) as e:
+            out.write(_dumps(_error_obj("io", e), ns.format))
+            return EXIT_USAGE
+        for line in lines:
+            out.write(_run(ns.command, flags, ns.format, line)[1] if line.strip() else "{}\n")
+        return EXIT_OK
+    finally:
+        _last.clear()
 
 
 if __name__ == "__main__":

@@ -56,8 +56,7 @@ class HyperCurve:
             raise DomainError("deg h must be at most g")
         if isinstance(f.field, PrimeField) and f.field.p == 2:
             raise DomainError("characteristic 2 not supported")
-        w = 4 * f + h * h
-        if not w.gcd(w.derivative()).degree <= 0:
+        if not (4 * f + h * h).is_squarefree():
             raise SingularCurveError("4f + h^2 has a repeated root")
 
     @property
@@ -99,11 +98,15 @@ def mumford_validate(u, v, curve):
     Raises MumfordError with .condition in {"monic", "degree",
     "divisibility"} naming the first failed condition.
     """
-    if u.is_zero or u.lc != curve.field.one:
+    field = curve.field
+    if u.is_zero or u.lc != field.one:
         raise MumfordError("monic", "u must be monic")
     if not (v.degree < u.degree <= curve.genus):
         raise MumfordError("degree", "need deg v < deg u <= g")
-    if not ((v * v + v * curve.h - curve.f) % u).is_zero:
+    if u.field != field or v.field != field:
+        raise DomainError("mixed coefficient fields")
+    w = raw_sub(field, raw_mul(field, v.raw, raw_add(field, v.raw, curve.h.raw)), curve.f.raw)
+    if raw_divmod(field, w, u.raw)[1]:
         raise MumfordError("divisibility", "u does not divide v^2 + v h - f")
     return MumfordDivisor(curve, u, v)
 

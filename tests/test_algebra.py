@@ -56,6 +56,22 @@ def test_gf_char_error_on_bad_denominator():
         F.of(Fraction(1, 14))
 
 
+@given(st.sampled_from([7, 1009, 2**61 - 1]), st.integers(-10**30, 10**30),
+       st.integers(1, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_from_fraction_is_num_over_den(p, num, den):
+    F = GF(p)
+    q = Fraction(num, den)
+    if q.denominator % p == 0:
+        with pytest.raises(CharacteristicError, match=f"denominator {q.denominator} "):
+            F.from_fraction(q)
+        return
+    want = q.numerator * pow(q.denominator, -1, p) % p
+    assert F.from_fraction(q).value == want
+    if q.denominator == 1:
+        assert F.from_fraction(q.numerator).value == want
+
+
 def test_integer_roots():
     assert integer_nth_root(3**10, 5) == (9, True)
     assert integer_nth_root(3**10 + 1, 5) == (9, False)

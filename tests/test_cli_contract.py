@@ -5,12 +5,16 @@ documents for every subcommand."""
 import io
 import json
 import os
+import sys
+from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from superelliptic import cli, jacobian
+from superelliptic.algebra import GF, QQ
 from superelliptic.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -20,7 +24,9 @@ from superelliptic.cli import (
     KINDS,
     PARAMS,
     main,
+    scalar_in,
 )
+from superelliptic.errors import DomainError, ParseError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -56,9 +62,15 @@ def test_pinned_transcript(case, tmp_path, capsys):
 # of degree 1, captured before the explicit genus-2 formulas; the last 24,
 # in genus 3 with h = 0 and h != 0, add a shared root, D + (-D), a doubling
 # through a Weierstrass point and a sum of degree 2, captured before the
-# explicit genus-3 formulas
+# explicit genus-3 formulas; the last 7 are batches, captured before a batch
+# checked a field and a curve once per run of lines: two curves alternating,
+# a singular curve on consecutive lines, one f over two fields, scalars
+# spelled every way int() and Fraction() read or refuse over GF(1009) and
+# Q, and bad-scalar lines followed by good lines on the same curve (a
+# scalar past the 4300-digit limit is tested below, as CPython's message
+# for it changes between versions)
 @pytest.mark.parametrize("case", _pinned("pinned_jacobian_cli.jsonl"),
-                         ids=lambda c: " ".join(c["argv"][:2]))
+                         ids=lambda c: c.get("id", " ".join(c["argv"][:2])))
 def test_pinned_jacobian_transcript(case, tmp_path, capsys):
     assert _call(case["argv"], case["batch"], tmp_path) == (case["exit"], case["stdout"])
     capsys.readouterr()
@@ -342,3 +354,152 @@ def test_fuzz_argument_documents(cmd, batch_dir):
             json.loads(line)
 
     run()
+
+
+# ---------------------------------------------------------------------------
+# the batch parse path: integer scalars without Fraction, and a field and a
+# curve checked once per run of lines naming them
+
+
+def _scalar_via_fraction(field, s):
+    """scalar_in as it read every scalar, through Fraction."""
+    try:
+        return field.of(Fraction(str(s)))
+    except (ValueError, ZeroDivisionError) as e:
+        raise ParseError(f"bad scalar {s!r}: {e}")
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except (ParseError, DomainError) as e:
+        return type(e), str(e)
+    return type(out), out
+
+
+# signs, underscores, slashes, points, exponents, ASCII and Unicode
+# whitespace and Unicode digits (Arabic-Indic, Devanagari, fullwidth)
+SCALAR_TEXT = st.one_of(
+    st.text(st.sampled_from("0123456789+-_/.eE \t\n\u00a0\u2003\u0663\u0967\uff17x"),
+            max_size=12),
+    st.from_regex(r"\A\s*[-+]?[0-9]+(_[0-9]+)*\s*\Z"),
+    st.integers().map(str),
+    st.text(max_size=6),
+)
+
+
+@given(SCALAR_TEXT)
+@settings(max_examples=600, deadline=None)
+def test_int_text_is_fraction_text(s):
+    if sys.version_info < (3, 11) and "_" in s:
+        return  # Fraction() reads PEP 515 underscores from 3.11 on
+    try:
+        v = int(s)
+    except ValueError:
+        return
+    assert Fraction(s) == v
+
+
+@given(st.sampled_from([QQ, GF(7), GF(1009), GF(2**61 - 1)]),
+       st.one_of(SCALAR_TEXT, st.integers(), st.booleans(), st.none(),
+                 st.floats(allow_nan=False)))
+@settings(max_examples=600, deadline=None)
+def test_scalar_in_matches_the_fraction_path(field, s):
+    if sys.version_info < (3, 11) and isinstance(s, str) and "_" in s:
+        return
+    assert _outcome(scalar_in, field, s) == _outcome(_scalar_via_fraction, field, s)
+
+
+A = {"f": ["230", "801", "205", "337", "799", "1"], "field": "GF(1009)"}
+A_SPELT = {"f": ["+230", " 801 ", "205", "1346", "-210", "1"], "field": "GF( 1009 )"}
+A_65521 = {**A, "field": "GF(65521)"}
+B = {"f": ["339", "602", "807", "950", "227", "1"], "field": "GF(1009)",
+     "h": ["621", "770", "838"]}
+SINGULAR = {"f": ["0", "0", "0", "0", "0", "1"], "field": "GF(1009)"}
+D1 = {"u": ["22", "652", "1"], "v": ["881", "85"]}
+D2 = {"u": ["740", "762", "1"], "v": ["529", "608"]}
+DB = {"u": ["96", "221", "1"], "v": ["331", "107"]}
+ID = {"u": ["1"], "v": []}
+# each line carries the keys of both commands, so a jac-add and a
+# jac-validate batch read the same sequence of curves
+BATCH_LINES = [
+    {"curve": A, "d1": D1, "d2": D2, **D1},
+    {"curve": A, "d1": D2, "d2": D2, **D2},
+    {"curve": A_SPELT, "d1": D1, "d2": ID, **D1},
+    {"curve": A_65521, "d1": ID, "d2": ID, **D1},
+    {"curve": B, "d1": DB, "d2": DB, **DB},
+    {"curve": B, "d1": DB, "d2": ID, **D1},
+    {"curve": SINGULAR, "d1": ID, "d2": ID, **ID},
+    {"curve": A, "d1": {"u": D1["u"], "v": ["abc", "1"]}, "d2": D2, "u": ["x", "1"], "v": []},
+    {"curve": {**A, "f": ["230", True, "205", "337", "799", "1"]}, "d1": ID, "d2": ID, **ID},
+    {"curve": A, "d1": D1, "method": "interpolation", "u": D1["u"]},
+    {"curve": A, "d1": D1, "d2": D2, "method": "interpolation", **D2},
+]
+
+
+def test_scalar_past_the_digit_limit_keeps_its_message(tmp_path):
+    # CPython words this message differently from version to version, so
+    # it is compared with the Fraction path here rather than pinned
+    s = "7" * 4301
+    for field in (QQ, GF(1009)):
+        kind, msg = _outcome(scalar_in, field, s)
+        assert (kind, msg) == _outcome(_scalar_via_fraction, field, s)
+        assert kind is ParseError and "integer string conversion" in msg
+    text = json.dumps({"curve": A, "u": ["0", "1"], "v": [s]}) + "\n" + json.dumps(
+        {"curve": A, **ID}) + "\n"
+    code, out = _call(["jac-validate", "--input", "{input}"], text, tmp_path)
+    first, second = map(json.loads, out.splitlines())
+    assert (first["error"]["kind"], second["valid"]) == ("parse", True)
+
+
+@pytest.mark.parametrize("cmd", ["jac-add", "jac-validate"])
+def test_shuffled_batch_prints_what_single_calls_print(cmd, batch_dir):
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(st.sampled_from(BATCH_LINES), min_size=1, max_size=10))
+    def run(docs):
+        text = "".join(json.dumps(doc) + "\n" for doc in docs)
+        code, out = _call([cmd, "--input", "{input}"], text, batch_dir)
+        assert code == EXIT_OK
+        singles = [_call([cmd] + [f"--{k}={_flag(v)}" for k, v in doc.items()
+                                  if k in PARAMS[cmd]])[1] for doc in docs]
+        assert out.splitlines(keepends=True) == singles
+
+    run()
+
+
+def test_field_and_curve_are_checked_once_per_run_of_lines(monkeypatch, tmp_path):
+    built, fields = [], []
+
+    def counting_curve(f, h):
+        built.append(f.field.p)
+        return real_curve(f, h)
+
+    def counting_field(p):
+        fields.append(p)
+        return real_field(p)
+
+    real_curve, real_field = jacobian.HyperCurve, cli.GF
+    monkeypatch.setattr(jacobian, "HyperCurve", counting_curve)
+    monkeypatch.setattr(cli, "GF", counting_field)
+    docs = [{"curve": c, **ID} for c in [
+        A, A, A,           # one run: one field, one check
+        B, B,              # same field name, a new curve
+        A,                 # back to A: checked again
+        SINGULAR, SINGULAR, SINGULAR,  # refused on every line, never kept
+        A,                 # still the last curve that passed
+        A_SPELT,           # the same parsed f and field: kept, though its
+                           # field name is new
+        A_65521, A,        # the same f over another field, then back
+    ]]
+    text = "".join(json.dumps(doc) + "\n" for doc in docs)
+    code, out = _call(["jac-validate", "--input", "{input}"], text, tmp_path)
+    assert code == EXIT_OK
+    assert [json.loads(line).get("valid") for line in out.splitlines()] == (
+        [True] * 6 + [None] * 3 + [True] * 4)
+    assert built == [1009, 1009, 1009, 1009, 1009, 1009, 65521, 1009]
+    assert fields == [1009, 1009, 65521, 1009]  # GF(1009), GF( 1009 ), ...
+    # the next main call starts with neither
+    code, out = _call(["jac-validate", "--input", "{input}"], json.dumps(docs[0]) + "\n",
+                      tmp_path)
+    assert built[8:] == [1009] and fields[4:] == [1009]

@@ -106,6 +106,45 @@ def test_mumford_validate_monic_and_degree():
     assert e2.value.condition == "degree"
 
 
+def _validate_oracle(u, v, curve):
+    """Mumford's conditions through the Poly operators: the first one that
+    fails, or None."""
+    if u.is_zero or u.lc != curve.field.one:
+        return "monic"
+    if not (v.degree < u.degree <= curve.genus):
+        return "degree"
+    if not ((v * v + v * curve.h - curve.f) % u).is_zero:
+        return "divisibility"
+    return None
+
+
+@given(st.sampled_from([C7, C11, HyperCurve.make(GF(7), [3, 1, 0, 4, 0, 1], [1, 2]),
+                        HyperCurve.make(QQ, [1, 0, -2, 0, 0, 0, 0, 1], [0, 1])]),
+       st.lists(st.integers(-3, 3), max_size=5), st.lists(st.integers(-3, 3), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_mumford_validate_matches_the_poly_operators(curve, u, v):
+    F = curve.field
+    u, v = Poly(F, u), Poly(F, v)
+    try:
+        d = mumford_validate(u, v, curve)
+    except MumfordError as e:
+        assert e.condition == _validate_oracle(u, v, curve)
+    else:
+        assert _validate_oracle(u, v, curve) is None
+        assert (d.u, d.v) == (u, v)
+
+
+def test_mumford_validate_mixed_fields():
+    # monic over GF(11) is not monic over GF(7); a monic u over Q is, and
+    # then the coefficient fields clash
+    with pytest.raises(MumfordError) as e:
+        mumford_validate(Poly(GF(11), [0, 1]), Poly(GF(11), [1]), C7)
+    assert e.value.condition == "monic"
+    for u, v in [(Poly(QQ, [0, 1]), Poly(GF(7), [1])), (Poly(GF(7), [0, 1]), Poly(QQ, [1]))]:
+        with pytest.raises(DomainError, match="mixed coefficient fields"):
+            mumford_validate(u, v, C7)
+
+
 # ---------------------------------------------------------------------------
 # Jacobi polynomials
 
