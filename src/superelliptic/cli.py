@@ -118,9 +118,10 @@ def scalar_in(field, s):
         else:
             return field.of(v)
     try:
-        return field.of(Fraction(str(s)))
+        x = Fraction(str(s))
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad scalar {s!r}: {e}")
+    return field.of(x)  # a denominator p divides is a DomainError, exit 3
 
 
 def poly_out(p):

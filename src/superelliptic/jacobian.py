@@ -1,8 +1,10 @@
 """Divisor class group arithmetic on hyperelliptic curves y^2 + h y = f
 with f monic of degree 2g+1: Mumford representation, Cantor's
 composition-and-reduction addition, the genus-2 geometric adder through
-an interpolated cubic, and group orders over prime fields through the
-Weil polynomial.
+an interpolated cubic, and genus-2 group orders over GF(p) through the
+Weil polynomial in O(p): a and b mod p from the Cartier-Manin matrix, and
+the order N among the Hasse-Weil candidates with [N]D = 0, for p up to
+ORDER_MAX_P = 10^6 (about 2 s and 26 MB peak RSS at p = 999983).
 
 Cantor's addition runs on the raw coefficient vectors of u and v (int
 residues over GF(p), Fractions over Q) through algebra's raw_* functions,
@@ -19,8 +21,9 @@ smaller primes and 31-48 us at 2^61 - 1 (three runs), against 115-175 us
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import product
+from math import isqrt
 
 from .algebra import (
     Poly,
@@ -224,43 +227,17 @@ def _cantor_sum(d1, d2):
     field, g = curve.field, curve.genus
     f, h = curve.f.raw, curve.h.raw
     u1, v1, u2, v2 = d1.u.raw, d1.v.raw, d2.u.raw, d2.v.raw
+    if len(u1) == 1 or len(u2) == 1:  # the identity plus a reduced divisor is that divisor
+        one = (field._one,)
+        for e, z, d, u, v in ((u1, v1, d2, u2, v2), (u2, v2, d1, u1, v1)):
+            if e == one and not z and len(v) < len(u) <= g + 1 and u[-1] == one[0]:
+                return d, None
     double = u1 == u2 and v1 == v2
     if g == 2 and len(u1) == len(u2) == 3 and isinstance(field, PrimeField):
-        p = field.p
-        a0, a1, _ = u1
-        b0, b1 = v1 + (0,) * (2 - len(v1))
-        c0, c1, _ = u2
-        h0, h1, h2 = h + (0,) * (3 - len(h))
-        k12 = f[4] - a1  # k1 = x^3 + k12 x^2 + k11 x + k10
-        if double:  # s = k1 (2v + h)^-1 mod u: w = k1 mod u, a x + b = 2v + h mod u
-            k11 = f[3] - b1 * h2 - a1 * k12 - a0
-            k10 = f[2] - b1 * (b1 + h1) - b0 * h2 - a1 * k11 - a0 * k12
-            w1, w0 = (a1 * a1 - a0 - a1 * k12 + k11) % p, (a1 * a0 - a0 * k12 + k10) % p
-            a, b = (2 * b1 + h1 - h2 * a1) % p, (2 * b0 + h0 - h2 * a0) % p
-        else:  # s = (v2 - v1) u1^-1 mod u2: w = v2 - v1, a x + b = u1 mod u2
-            e0, e1 = v2 + (0,) * (2 - len(v2))
-            w1, w0 = e1 - b1, e0 - b0
-            a, b = a1 - c1, a0 - c0
-        n0 = (b - a * c1) % p
-        r = (b * n0 + a * a * c0) % p
-        rs1 = (w1 * n0 - w0 * a + w1 * a * c1) % p  # r s = rs1 x + rs0
-        if r and rs1:
-            rs0 = (w0 * n0 + w1 * a * c0) % p
-            z = pow(r * rs1, -1, p)  # the one inversion
-            ir, i1 = z * rs1 % p, z * r * r % p  # 1/r and 1/s1
-            s1, s0 = rs1 * ir % p, rs0 * ir % p
-            i2 = i1 * i1 % p
-            # u3 = x^2 + m1 x + m0 = (T / u2) / s1^2, from the top of T
-            m1 = ((s1 * (2 * s0 + a1 * s1 + h2) - 1) * i2 - c1) % p
-            m0 = ((s0 * (s0 + 2 * a1 * s1 + h2) + s1 * (a0 * s1 + 2 * b1 + h1) - k12) * i2
-                  - c1 * m1 - c0) % p
-            V2, V1, V0 = (s0 + a1 * s1) % p, (b1 + a1 * s0 + a0 * s1) % p, (b0 + a0 * s0) % p
-            W2, W1, W0 = V2 + h2, V1 + h1, V0 + h0  # -v3 = V + h mod u3
-            y1 = (W2 * m1 - W1 - s1 * (m1 * m1 - m0)) % p
-            y0 = (W2 * m0 - W0 - s1 * m1 * m0) % p
-            v3 = (y0, y1) if y1 else (y0,) if y0 else ()
-            out = MumfordDivisor(curve, _poly(field, (m0, m1, 1)), _poly(field, v3))
-            return out, None if double else (V0, V1, V2, s1)
+        out = _g2_explicit(field.p, f, h, u1, v1, u2, v2, double)
+        if out and len(out[0]) == 3:  # a sum of degree 1 keeps the general code here
+            u3, v3, cubic = out
+            return MumfordDivisor(curve, _poly(field, u3), _poly(field, v3)), cubic
     if g == 3 and len(u1) == len(u2) == 4 and isinstance(field, PrimeField):
         p = field.p
         a0, a1, a2, _ = u1
@@ -347,6 +324,161 @@ def _cantor_sum(d1, d2):
     u3 = mul(u3, (field._inv(u3[-1]),))
     v3 = div(v3, u3)[1] if len(u3) > 1 else ()
     return MumfordDivisor(curve, _poly(field, u3), _poly(field, v3)), cubic
+
+
+def _g2_explicit(p, f, h, u1, v1, u2, v2, double):
+    """The explicit genus-2 sum of _cantor_sum on raw vectors over GF(p),
+    deg u1 = deg u2 = 2: (u3, v3, V), V the composed cubic (None for a
+    doubling), or None where r = 0.  With s1 = 0 the sum has degree 1:
+    V = v1 + s0 u1 has degree 2, so f - V (V + h) = u1 u2 (x + m0) and
+    u3 = x + m0 is read from its x^4 coefficient."""
+    a0, a1, _ = u1
+    b0, b1 = v1 + (0,) * (2 - len(v1))
+    c0, c1, _ = u2
+    h0, h1, h2 = h + (0,) * (3 - len(h))
+    k12 = f[4] - a1  # k1 = x^3 + k12 x^2 + k11 x + k10
+    if double:  # s = k1 (2v + h)^-1 mod u: w = k1 mod u, a x + b = 2v + h mod u
+        k11 = f[3] - b1 * h2 - a1 * k12 - a0
+        k10 = f[2] - b1 * (b1 + h1) - b0 * h2 - a1 * k11 - a0 * k12
+        w1, w0 = (a1 * a1 - a0 - a1 * k12 + k11) % p, (a1 * a0 - a0 * k12 + k10) % p
+        a, b = (2 * b1 + h1 - h2 * a1) % p, (2 * b0 + h0 - h2 * a0) % p
+    else:  # s = (v2 - v1) u1^-1 mod u2: w = v2 - v1, a x + b = u1 mod u2
+        e0, e1 = v2 + (0,) * (2 - len(v2))
+        w1, w0 = e1 - b1, e0 - b0
+        a, b = a1 - c1, a0 - c0
+    n0 = (b - a * c1) % p
+    r = (b * n0 + a * a * c0) % p
+    rs1 = (w1 * n0 - w0 * a + w1 * a * c1) % p  # r s = rs1 x + rs0
+    if not r:
+        return None
+    if not rs1:  # s = s0, V = v1 + s0 u1 of degree 2: u3 = x + m0, from the top
+        s0 = (w0 * n0 + w1 * a * c0) * pow(r, -1, p) % p
+        W2, W1 = s0 + h2, b1 + a1 * s0 + h1
+        m0 = (f[4] - s0 * W2 - a1 - c1) % p
+        y0 = (W1 * m0 - W2 * m0 * m0 - b0 - a0 * s0 - h0) % p  # -(V + h)(-m0)
+        return (m0, 1), (y0,) if y0 else (), None
+    rs0 = (w0 * n0 + w1 * a * c0) % p
+    z = pow(r * rs1, -1, p)  # the one inversion
+    ir, i1 = z * rs1 % p, z * r * r % p  # 1/r and 1/s1
+    s1, s0 = rs1 * ir % p, rs0 * ir % p
+    i2 = i1 * i1 % p
+    # u3 = x^2 + m1 x + m0 = (T / u2) / s1^2, from the top of T
+    m1 = ((s1 * (2 * s0 + a1 * s1 + h2) - 1) * i2 - c1) % p
+    m0 = ((s0 * (s0 + 2 * a1 * s1 + h2) + s1 * (a0 * s1 + 2 * b1 + h1) - k12) * i2
+          - c1 * m1 - c0) % p
+    V2, V1, V0 = (s0 + a1 * s1) % p, (b1 + a1 * s0 + a0 * s1) % p, (b0 + a0 * s0) % p
+    W2, W1, W0 = V2 + h2, V1 + h1, V0 + h0  # -v3 = V + h mod u3
+    y1 = (W2 * m1 - W1 - s1 * (m1 * m1 - m0)) % p
+    y0 = (W2 * m0 - W0 - s1 * m1 * m0) % p
+    v3 = (y0, y1) if y1 else (y0,) if y0 else ()
+    return (m0, m1, 1), v3, None if double else (V0, V1, V2, s1)
+
+
+def _ev(c, x, p):
+    """The raw vector c at x, mod p."""
+    y = 0
+    for a in reversed(c):
+        y = (y * x + a) % p
+    return y
+
+
+def _g2_points(p, f, h, x1, y1, x2, y2):
+    """P1 + P2 - 2 infinity for points of a genus-2 curve over GF(p): u =
+    (x - x1)(x - x2) and v = y1 + s (x - x1) through both points, or
+    tangent there (s (2 y1 + h) = f' - y1 h' at x1); the identity for
+    P + (-P) and for 2W at a Weierstrass point."""
+    if x1 != x2:
+        s = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    else:
+        t = (2 * y1 + _ev(h, x1, p)) % p
+        if y1 != y2 or not t:
+            return (1,), ()
+        df, dh = ([i * c for i, c in enumerate(c)][1:] for c in (f, h))
+        s = (_ev(df, x1, p) - y1 * _ev(dh, x1, p)) * pow(t, -1, p) % p
+    v0 = (y1 - s * x1) % p
+    return (x1 * x2 % p, -(x1 + x2) % p, 1), (v0, s) if s else (v0,) if v0 else ()
+
+
+def _g2_neg(p, h, d):
+    """-D for a raw reduced genus-2 divisor over GF(p): v -> -(v + h) mod u."""
+    u, (e0, e1), (h0, h1, h2) = d[0], d[1] + (0,) * (2 - len(d[1])), h + (0,) * (3 - len(h))
+    if len(u) == 1:
+        return d
+    if len(u) == 2:  # -(v + h) at x = -u0
+        x = -u[0] % p
+        y0, y1 = -(e0 + h0 + (h1 + h2 * x) * x) % p, 0
+    else:  # h mod u = (h1 - h2 u1) x + h0 - h2 u0
+        y0, y1 = (h2 * u[0] - e0 - h0) % p, (h2 * u[1] - e1 - h1) % p
+    return u, (y0, y1) if y1 else (y0,) if y0 else ()
+
+
+def _g2_point_plus(p, f, h, x1, y1, u, v):
+    """P + D for a point P and a reduced D of degree 2 with u(x1) != 0:
+    V = v + k u through P, k = (y1 - v(x1))/u(x1), and the sum u3 =
+    (f - V (V + h))/(u (x - x1)), monic of degree 2, v3 = -(V + h) mod u3."""
+    c0, c1, _ = u
+    e0, e1 = v + (0,) * (2 - len(v))
+    h0, h1, h2 = h + (0,) * (3 - len(h))
+    k = (y1 - e0 - e1 * x1) * pow(c0 + (c1 + x1) * x1, -1, p) % p
+    V1, V2 = e1 + c1 * k, k
+    W0, W1, W2 = e0 + c0 * k + h0, V1 + h1, V2 + h2  # W = V + h
+    U2, U1 = c1 - x1, c0 - c1 * x1  # u (x - x1) = x^3 + U2 x^2 + U1 x + U0
+    m1 = (f[4] - V2 * W2 - U2) % p
+    m0 = (f[3] - V2 * W1 - V1 * W2 - U1 - U2 * m1) % p
+    y1, y0 = (W2 * m1 - W1) % p, (W2 * m0 - W0) % p
+    return (m0, m1, 1), (y0, y1) if y1 else (y0,) if y0 else ()
+
+
+def _g2_special(p, f, h, u1, v1, u2, v2):
+    """D1 + D2 for reduced genus-2 divisors over GF(p) where _g2_explicit
+    declines (r = 0) or an operand has degree 1, through the rational
+    points the operands share or consist of; None for the few pairs that
+    meet a shared point twice (3P, or P shared and met again after the
+    split), which are left to the general code."""
+    if len(u1) > len(u2):
+        u1, v1, u2, v2 = u2, v2, u1, v1
+    if len(u1) == 2:  # P = (x1, y1) plus D2
+        x1, y1 = -u1[0] % p, _ev(v1, 0, p)
+        if len(u2) == 2:
+            return _g2_points(p, f, h, x1, y1, -u2[0] % p, _ev(v2, 0, p))
+        if _ev(u2, x1, p):
+            return _g2_point_plus(p, f, h, x1, y1, u2, v2)
+        x2 = (-u2[1] - x1) % p  # u2 = (x - x1)(x - x2): D2 = P' + Q
+        y2 = _ev(v2, x2, p)
+        q = (-x2 % p, 1), (y2,) if y2 else ()
+        if _ev(v2, x1, p) != y1:  # P' = -P
+            return q
+        if x2 == x1:  # D2 = 2P
+            return None
+        u, v = _g2_points(p, f, h, x1, y1, x1, y1)  # 2P, then plus Q
+        return q if len(u) == 1 else _g2_point_plus(p, f, h, x2, y2, u, v)
+    a0, a1, _ = u1
+    if u1 == u2 and v1 == v2:  # 2v + h = a x + b shares a root with u
+        (b0, b1), (h0, h1, h2) = v1 + (0,) * (2 - len(v1)), h + (0,) * (3 - len(h))
+        a, b = (2 * b1 + h1 - h2 * a1) % p, (2 * b0 + h0 - h2 * a0) % p
+        if not a:  # two Weierstrass points: 2D = 0
+            return (1,), ()
+        x1 = -b * pow(a, -1, p) % p  # D = W + Q, 2D = 2Q
+        x2 = (-a1 - x1) % p
+        return None if x2 == x1 else _g2_points(p, f, h, x2, _ev(v1, x2, p), x2, _ev(v1, x2, p))
+    if u1 == u2:  # v1 - v2 vanishes at most at one root x1: there D1 + D2 = 2P
+        (b0, b1), (e0, e1) = (v + (0,) * (2 - len(v)) for v in (v1, v2))
+        x1 = (e0 - b0) * pow(b1 - e1, -1, p) % p if b1 != e1 else None
+        if x1 is None or _ev(u1, x1, p):
+            return (1,), ()
+        y1 = _ev(v1, x1, p)
+        return _g2_points(p, f, h, x1, y1, x1, y1)
+    c0, c1, _ = u2  # one shared root x0: D1 = P1 + Q1, D2 = P2 + Q2
+    x0 = (c0 - a0) * pow(a1 - c1, -1, p) % p
+    x1, x2 = (-a1 - x0) % p, (-c1 - x0) % p
+    y0, y1, y2 = _ev(v1, x0, p), _ev(v1, x1, p), _ev(v2, x2, p)
+    if _ev(v2, x0, p) != y0:  # P2 = -P1
+        return _g2_points(p, f, h, x1, y1, x2, y2)
+    for u, v, x, y in ((u1, v1, x2, y2), (u2, v2, x1, y1)):  # (D1 + Q2) + P, (D2 + Q1) + P
+        if _ev(u, x, p):
+            u, v = _g2_point_plus(p, f, h, x, y, u, v)
+            return _g2_point_plus(p, f, h, x0, y0, u, v) if _ev(u, x0, p) else None
+    return None
 
 
 def negate(divisor):
@@ -444,26 +576,46 @@ class WeilData:
     order: int
 
 
-# Largest p that weil_data_g2 counts over, so that no accepted call runs
-# much past 10 s: its p^2/2 evaluations over GF(p^2) took 0.34 s at
-# p = 1009, 7.6 s at p = 5003 and 11.6 s at p = 5701 (CPython 3.11 on
-# one core of an Intel Xeon).
-ORDER_MAX_P = 5700
+# Largest p that weil_data_g2 accepts: at p = 999983 a call took 1.7-2.2 s
+# and the process peaked at 26 MB RSS, 8.5 MB above its RSS before the call
+# (four curves; CPython 3.11 on one core of a shared Intel Xeon).
+ORDER_MAX_P = 1_000_000
+
+# Largest p at which weil_data_g2 counts N2 over GF(p^2) to decide between
+# candidate orders that every divisor it tried leaves standing: p^2/2
+# evaluations, 0.34 s at p = 1009, 7.6 s at p = 5003 and 11.6 s at
+# p = 5701 (same machine).
+COUNT_MAX_P = 5700
+
+# Divisors weil_data_g2 tries on its candidate orders before it counts; on
+# 4700 random curves at p = 3..1009 none needed more than 3.
+PICK_DIVISORS = 16
 
 
 def weil_data_g2(curve):
     """Point counts N1, N2 and the order #J(F_q) = f(1) of the Weil
-    polynomial f(T) = T^4 - a T^3 + (b + 2q) T^2 - a q T + q^2.
+    polynomial f(T) = T^4 - a T^3 + e2 T^2 - a q T + q^2, e2 = b + 2q.
 
-    With w = 4f + h^2, each x gives 1 + chi(w(x)) affine points, read
-    from a table of the squares of GF(p); every x in GF(p) is a square in
-    GF(p^2).  Over GF(p^2) = GF(p)[s]/(s^2 - t), t the least non-residue,
-    chi(A + B s) is the Legendre symbol of the norm A^2 - t B^2, and the
-    conjugates a + b s and a - b s share it, so b runs over 1..(p-1)/2
-    and each count is doubled.  w(a + b s) is summed from the Taylor
-    coefficients of w at a, tabulated once.  Cost: p^2/2 evaluations over
-    GF(p^2), i.e. O(p^2) table lookups, and O(p) memory; p > ORDER_MAX_P
-    raises UnsupportedCaseError before counting.
+    With w = 4f + h^2 (the model Y^2 = w, Y = 2y + h), each x gives
+    1 + chi(w(x)) affine points, read from a table of the squares of GF(p)
+    that also holds a square root of each residue; so a = p + 1 - N1
+    exactly.  The Cartier-Manin matrix M = (c_{ip-j}), i, j in {1, 2}, of
+    the coefficients c_k of H = w^n, n = (p-1)/2, has a = tr M and e2 =
+    det M (mod p) (Manin 1961; Yui, J. Algebra 52 (1978)).  The recurrence
+    w H' = n w' H gives c_{p-1} and c_{p-2} from the bottom (of (w/x)^n
+    when w(0) = 0, as w is squarefree) and c_{2p-1} and c_{2p-2} from the
+    bottom of the reversed w, so no index divisible by p is divided by.
+    The Hasse-Weil bounds 2|a| sqrt(p) - 2p <= e2 <= a^2/4 + 2p leave at
+    most five candidates, whose orders N are spaced p apart.  The true N
+    has [N]D = 0 for every divisor D, so a single survivor is a proof
+    (Gaudry-Harley, ANTS-IV 2000); D runs over sums of two rational points
+    taken in order of x, and each is tested on all candidates at once from
+    [N]D for the middle one and [p]D (_pick_e2), in raw genus-2 arithmetic
+    that covers the degenerate sums too, which are frequent at small p.
+    Candidates that PICK_DIVISORS divisors leave standing (at tiny p, or
+    where the group's exponent divides k p) are decided by counting N2 over
+    GF(p^2), up to p = COUNT_MAX_P.  Cost: O(p) time and memory; p >
+    ORDER_MAX_P raises UnsupportedCaseError before any work.
     """
     field = curve.field
     if not isinstance(field, PrimeField):
@@ -473,41 +625,175 @@ def weil_data_g2(curve):
     p = field.p
     if p > ORDER_MAX_P:
         raise UnsupportedCaseError(
-            f"point count over GF({p}^2) needs about {p * p // 2} evaluations; "
-            f"supported up to p = {ORDER_MAX_P}")
-    w = 4 * curve.f + curve.h * curve.h  # (2y + h)^2 = w, of degree 5
-    wc = list(w.raw)
-    roots = [0] * p  # roots[v] = #{y : y^2 = v} = 1 + chi(v)
-    for y in range(p):
-        roots[y * y % p] += 1
-    t = roots.index(0)
-    # w(a + z) = sum_k w_k(a) z^k; w_5 = wc[5] for every a
+            f"group order over GF({p}) needs about {4 * p} table and recurrence "
+            f"steps; supported up to p = {ORDER_MAX_P}")
+    w = (4 * curve.f + curve.h * curve.h).raw  # (2y + h)^2 = w, of degree 5
+    n = (p - 1) // 2
+    # sq[v] = #{Y : Y^2 = v}; the tables of ints are 4-byte memoryviews
+    sq, root = bytearray(p), memoryview(bytearray(4 * p)).cast("i")
+    sq[0] = 1
+    for y in range(1, n + 1):
+        v = y * y % p
+        sq[v], root[v] = 2, y
+    w0, w1, w2, w3, w4, w5 = w
+    n1 = 1 + sum(sq[(((((w5 * x + w4) * x + w3) * x + w2) * x + w1) * x + w0) % p]
+                 for x in range(p))  # one point at infinity
+    a = p + 1 - n1
+    inv = memoryview(bytearray(4 * p)).cast("i")  # inv[k] = 1/k
+    inv[1] = 1
+    for k in range(2, p):
+        inv[k] = (p - p // k) * inv[p % k] % p
+    z = 0 if w0 else 1  # w = x^z g with g(0) != 0
+    c1, c2 = _power_coeffs(w[z:], n, p - 1 - z * n, inv, p)  # c_{p-1}, c_{p-2}
+    c4, c3 = _power_coeffs(w[::-1], n, n, inv, p)  # c_{2p-2}, c_{2p-1}
+    if (a - c1 - c4) % p:
+        raise AssertionError("a is not the Cartier-Manin trace")  # pragma: no cover
+    low = (isqrt(4 * a * a * p - 1) + 1 if a else 0) - 2 * p  # ceil(2|a| sqrt(p)) - 2p
+    e2s = range(low + (c1 * c4 - c2 * c3 - low) % p, a * a // 4 + 2 * p + 1, p)
+    e2 = _pick_e2(curve, a, e2s, w, sq, root)
+    return WeilData(q=p, n1=n1, n2=p * p + 1 - a * a + 2 * e2, a=a, b=e2 - 2 * p,
+                    order=p * p + 1 - a * (p + 1) + e2)
+
+
+def _power_coeffs(g, n, m, inv, p):
+    """(d_m, d_(m-1)) of g^n = sum d_k x^k, for g(0) != 0, deg g <= 5 and
+    1 <= m < p, from g H' = n g' H: m g0 d_m = sum_i ((n+1) i - m) g_i d_(m-i)."""
+    r = pow(g[0], -1, p)
+    b1, b2, b3, b4, b5 = (c * r % p for c in g[1:] + (0,) * (6 - len(g)))
+    a1, a2, a3, a4, a5 = ((n + 1) * i * c % p for i, c in enumerate((b1, b2, b3, b4, b5), 1))
+    d1, d2 = pow(g[0], n, p), 0
+    d3 = d4 = d5 = 0
+    for k in range(1, m + 1):
+        d = (a1 * d1 + a2 * d2 + a3 * d3 + a4 * d4 + a5 * d5
+             - k * (b1 * d1 + b2 * d2 + b3 * d3 + b4 * d4 + b5 * d5)) % p * inv[k] % p
+        d5, d4, d3, d2, d1 = d4, d3, d2, d1, d
+    return d1, d2
+
+
+def _g2_sum(curve, x, y):
+    """x + y for raw reduced divisors (u, v) of a genus-2 curve over GF(p):
+    the explicit formulas, the special cases on points, and the general
+    code for the few pairs left."""
+    (u1, v1), (u2, v2) = x, y
+    if len(u1) == 1 or len(u2) == 1:
+        return y if len(u1) == 1 else x
+    p, f, h = curve.field.p, curve.f.raw, curve.h.raw
+    out = None
+    if len(u1) == len(u2) == 3:
+        out = _g2_explicit(p, f, h, u1, v1, u2, v2, x == y)
+    out = out[:2] if out else _g2_special(p, f, h, u1, v1, u2, v2)
+    if out is None:
+        field = curve.field
+        d1, d2 = (MumfordDivisor(curve, _poly(field, u), _poly(field, v)) for u, v in (x, y))
+        d = _cantor_sum(d1, d2)[0]
+        out = d.u.raw, d.v.raw
+    return out
+
+
+def _pick_e2(curve, a, e2s, w, sq, root):
+    """The one e2 of e2s whose order N = p^2 + 1 - a (p + 1) + e2 has
+    [N]D = 0 on the divisors of _pick_divisors, else from counting N2.
+    With m the middle slot, Z = [N_m]D and Y = [p]D, [N_k]D = 0 iff
+    Z = -(k - m) Y, and |k - m| <= 2.  A single candidate is checked too,
+    on one divisor, as a test of the Cartier-Manin step, so every call runs
+    the same ladder, on raw vectors."""
+    p = curve.field.p
+    add, neg = partial(_g2_sum, curve), partial(_g2_neg, p, curve.h.raw)
+    m = (len(e2s) - 1) // 2
+    n = p * p + 1 - a * (p + 1) + e2s[m]
+    alive = range(len(e2s))
+    digits = [_naf(k) for k in (n, p)]
+    size = max(map(len, digits))  # N_m < p can happen at tiny p
+    for d in _pick_divisors(curve, w, sq, root):
+        twos = [d]  # 2^i D, for both [N_m]D and [p]D
+        while len(twos) < size:
+            twos.append(add(twos[-1], twos[-1]))
+        z, y = (reduce(add, [t if e > 0 else neg(t) for t, e in zip(twos, ds) if e])
+                for ds in digits)
+        y2 = add(y, y)
+        targets = {-2: y2, -1: y, 0: ((1,), ()), 1: neg(y), 2: neg(y2)}
+        hits = [k for k in alive if z == targets[k - m]]
+        if not hits:
+            raise AssertionError("no candidate order")  # pragma: no cover
+        alive = hits
+        if len(alive) == 1:
+            break
+    if len(alive) == 1:
+        return e2s[alive[0]]
+    orders = [p * p + 1 - a * (p + 1) + e2s[k] for k in alive]
+    if p > COUNT_MAX_P:
+        raise UnsupportedCaseError(
+            f"the orders {orders} over GF({p}) all pass [N]D = 0 on the divisors "
+            f"tried; counting N2 to decide needs about {p * p // 2} evaluations, "
+            f"supported up to p = {COUNT_MAX_P}")
+    e2 = (a * a - p * p - 1 + _count_n2(p, w, sq)) // 2
+    if e2 not in [e2s[k] for k in alive]:
+        raise AssertionError("the count contradicts the pick")  # pragma: no cover
+    return e2
+
+
+def _naf(k):
+    """The non-adjacent form of k > 0: digits in {-1, 0, 1}, lowest first,
+    no two adjacent ones nonzero, so about a third of them are."""
+    out = []
+    while k:
+        e = 2 - k % 4 if k & 1 else 0
+        out.append(e)
+        k = (k - e) >> 1
+    return out
+
+
+def _pick_divisors(curve, w, sq, root):
+    """D = P1 + P2 - 2 infinity as raw (u, v) for consecutive pairs of the
+    affine points with 2y + h != 0, in order of x; at most PICK_DIVISORS of
+    them."""
+    p, f, h = curve.field.p, curve.f.raw, curve.h.raw
+    w0, w1, w2, w3, w4, w5 = w
+    h0, h1, h2 = h + (0,) * (3 - len(h))
+    points, made = [], 0
+    for x in range(p):
+        v = (((((w5 * x + w4) * x + w3) * x + w2) * x + w1) * x + w0) % p
+        if sq[v] != 2:
+            continue
+        points.append((x, (root[v] - h0 - (h1 + h2 * x) * x) * ((p + 1) // 2) % p))
+        if len(points) == 2:
+            (x1, y1), (x2, y2) = points
+            yield _g2_points(p, f, h, x1, y1, x2, y2)
+            points, made = [], made + 1
+            if made == PICK_DIVISORS:
+                return
+
+
+def _count_n2(p, w, sq):
+    """N2 = #C(GF(p^2)) by counting, sq[v] = 1 + chi(v) on GF(p).
+
+    Over GF(p^2) = GF(p)[s]/(s^2 - t), t the least non-residue, chi(A + B s)
+    is the Legendre symbol of the norm A^2 - t B^2, and the conjugates
+    a + b s and a - b s share it, so b runs over 1..(p-1)/2 and each count
+    is doubled; every x in GF(p) is a square in GF(p^2).  w(a + b s) is
+    summed from the Taylor coefficients of w at a, tabulated once: p^2/2
+    evaluations over GF(p^2) and O(p) memory.
+    """
+    t = sq.index(0)
+    # w(a + z) = sum_k w_k(a) z^k; w_5 = w[5] for every a
     taylor = []
     for a in range(p):
-        c = wc[:]
+        c = list(w)
         for k in range(5):
             for j in range(4, k - 1, -1):
                 c[j] = (c[j] + a * c[j + 1]) % p
         taylor.append(c[:5])
-    n1 = 1 + sum(roots[c[0]] for c in taylor)  # one point at infinity
-    # x in GF(p): w(x) is a square in GF(p^2)
     n2 = 1 + sum(2 if c[0] else 1 for c in taylor)
     pairs = 0
     for b in range(1, (p + 1) // 2):
         # z = b s has z^k = z_k s^(k mod 2) with z_k = b^k t^(k div 2)
         z2 = b * b * t % p
         z3, z4 = z2 * b % p, z2 * z2 % p
-        top = wc[5] * z4 * b % p
-        pairs += sum([roots[((w0 + w2 * z2 + w4 * z4) ** 2
-                             - t * (w1 * b + w3 * z3 + top) ** 2) % p]
+        top = w[5] * z4 * b % p
+        pairs += sum([sq[((w0 + w2 * z2 + w4 * z4) ** 2
+                          - t * (w1 * b + w3 * z3 + top) ** 2) % p]
                       for w0, w1, w2, w3, w4 in taylor])
-    n2 += 2 * pairs
-    a_coef = p + 1 - n1
-    s2 = p * p + 1 - n2
-    e2 = (a_coef * a_coef - s2) // 2  # = b + 2q
-    b_coef = e2 - 2 * p
-    order = 1 - a_coef + e2 - a_coef * p + p * p
-    return WeilData(q=p, n1=n1, n2=n2, a=a_coef, b=b_coef, order=order)
+    return n2 + 2 * pairs
 
 
 def jacobian_order_g2(curve):

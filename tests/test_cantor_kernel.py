@@ -294,6 +294,78 @@ def test_explicit_g2_branch_is_taken():
         assert (calls[0] >= 1) == general
 
 
+@pytest.mark.parametrize("field", [GF(7), GF(65521), QQ], ids=["GF(7)", "GF(65521)", "QQ"])
+def test_identity_plus_reduced_divisor_is_that_divisor(field):
+    # the shortcut returns the other operand with no composition, and no
+    # composed cubic, so the interpolation adder reports a fallback
+    curve = HyperCurve.make(field, [1, -1, 0, 0, 0, 1])  # y^2 = x^5 - x + 1
+    pts = [(0, 1), (1, 1), (-1, 1)]
+    zero = identity(curve)
+    for d in (zero, divisor_from_points(curve, pts[:1]), divisor_from_points(curve, pts[:2])):
+        for x, y in ((zero, d), (d, zero)):
+            with counting_xgcd() as calls:
+                assert cantor_add(x, y) == oracle_cantor_add(x, y) == d
+            assert calls[0] == 0
+            assert interpolation_add_g2(x, y).used_fallback
+    # an operand of degree 3 > g is not reduced, so the general code reduces it
+    u = Poly.one(field)
+    for x, _ in pts:
+        u = u * Poly(field, [-x, 1])
+    raw = MumfordDivisor(curve, u, Poly(field, [1]))
+    with counting_xgcd() as calls:
+        assert cantor_add(zero, raw) == oracle_cantor_add(zero, raw)
+    assert calls[0] >= 1 and cantor_add(zero, raw).u.degree <= 2
+
+
+# ---------------------------------------------------------------------------
+# genus 2 over GF(p) on raw vectors, as weil_data_g2's pick adds: the explicit
+# formulas (with the sums of degree 1 they leave to cantor_add's general
+# code), the degenerate pairs on points, and the general code for the rest
+
+G2_ALL_PAIRS = [  # (p, f, h): every pair of divisors, h = 0 and h != 0
+    (5, [3, 1, 3, 0, 4, 1], [3]),
+    (7, [1, 0, 0, 0, 0, 1], []),
+    (7, [0, 5, 2, 5, 5, 1], [4, 6, 5]),
+    (11, [2, 8, 6, 5, 7, 1], []),
+]
+
+
+def _shares_a_point(d1, d2):
+    """Whether a rational point lies in the support of both divisors."""
+    return any(d1.u(x) == d2.u(x) == 0 and d1.v(x) == d2.v(x)
+               for x in d1.curve.field.elements())
+
+
+@pytest.mark.parametrize("p, f, h", G2_ALL_PAIRS, ids=[f"GF({p})-{i}" for i, (p, _, _) in
+                                                       enumerate(G2_ALL_PAIRS)])
+def test_raw_g2_sum_matches_poly_oracle_on_every_pair(p, f, h, monkeypatch):
+    curve = HyperCurve.make(GF(p), f, h)
+    divs = jacobian.enumerate_divisors(curve)
+    real, general = jacobian._cantor_sum, []
+
+    def counted(a, b):
+        general.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(jacobian, "_cantor_sum", counted)
+    for x in divs:
+        for y in divs:
+            want = oracle_cantor_add(x, y)
+            got = jacobian._g2_sum(curve, (x.u.raw, x.v.raw), (y.u.raw, y.v.raw))
+            assert got == (want.u.raw, want.v.raw)
+    # only pairs that share a point reach the general code
+    assert general and all(_shares_a_point(a, b) for a, b in general)
+
+
+@pytest.mark.parametrize("p, f, h", G2_ALL_PAIRS, ids=[f"GF({p})-{i}" for i, (p, _, _) in
+                                                       enumerate(G2_ALL_PAIRS)])
+def test_raw_g2_negation_matches_negate(p, f, h):
+    curve = HyperCurve.make(GF(p), f, h)
+    for d in jacobian.enumerate_divisors(curve):
+        n = negate(d)
+        assert jacobian._g2_neg(p, curve.h.raw, (d.u.raw, d.v.raw)) == (n.u.raw, n.v.raw)
+
+
 # ---------------------------------------------------------------------------
 # genus 3 over GF(p): the explicit sum inside cantor_add (s = w t^-1 mod u2
 # from a 3 x 3 adjugate) and the pairs it declines

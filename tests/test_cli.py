@@ -192,11 +192,11 @@ def test_jac_order_with_h_exact_output():
 
 
 def test_jac_order_refuses_large_p():
-    curve = json.dumps({"f": ["1", "1", "0", "0", "0", "1"], "field": "GF(10007)"})
+    curve = json.dumps({"f": ["1", "1", "0", "0", "0", "1"], "field": "GF(1000003)"})
     code, out = run_one(["jac-order", "--curve", curve])
     assert code == EXIT_DOMAIN
     assert out["error"]["kind"] == "domain"
-    assert "50070024 evaluations" in out["error"]["message"]
+    assert "4000012 table and recurrence steps" in out["error"]["message"]
 
 
 def test_theta_census():

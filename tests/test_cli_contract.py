@@ -201,6 +201,17 @@ def test_bad_field_name_type_is_a_parse_error():
     assert code == EXIT_PARSE
 
 
+def test_scalar_with_a_denominator_p_divides_is_a_domain_error():
+    # README: exit 3 for bad mathematical input; it was a parse error, exit 4
+    curve = json.dumps({"f": ["23", "1", "0", "0", "0", "1"], "field": "GF(1009)"})
+    code, out = _call(["jac-validate", "--curve", curve, "--u", '["1/1009", "1"]', "--v", "[]"])
+    assert (code, json.loads(out)) == (EXIT_DOMAIN, {"error": {
+        "kind": "domain", "message": "denominator 1009 not invertible mod 1009"}})
+    with pytest.raises(DomainError):
+        scalar_in(GF(7), "3/14")
+    assert scalar_in(QQ, "3/14") == Fraction(3, 14)
+
+
 def test_integer_past_the_digit_limit_in_a_line_is_a_parse_error(tmp_path):
     code, out = _call(["genus", "--input", "{input}"],
                       '{"n": %s, "d": 5}\n{"n": 2, "d": 5}\n' % ("1" * 5000), tmp_path)
@@ -362,11 +373,13 @@ def test_fuzz_argument_documents(cmd, batch_dir):
 
 
 def _scalar_via_fraction(field, s):
-    """scalar_in as it read every scalar, through Fraction."""
+    """scalar_in as it read every scalar, through Fraction; a denominator
+    that p divides is the field's DomainError, not a parse error."""
     try:
-        return field.of(Fraction(str(s)))
+        x = Fraction(str(s))
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad scalar {s!r}: {e}")
+    return field.of(x)
 
 
 def _outcome(fn, *args):

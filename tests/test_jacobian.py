@@ -5,15 +5,18 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from superelliptic import jacobian
 from superelliptic.algebra import GF, QQ, Poly
 from superelliptic.errors import DomainError, SingularCurveError, UnsupportedCaseError
 from superelliptic.jacobian import (
+    COUNT_MAX_P,
     MAX_DIVISOR_PAIRS,
     ORDER_MAX_P,
     HyperCurve,
     MumfordDivisor,
     MumfordError,
     WeilData,
+    _count_n2,
     cantor_add,
     divisor_from_points,
     enumerate_divisors,
@@ -687,10 +690,125 @@ def test_weil_data_matches_oracle(p, data):
     assert weil_data_g2(curve) == _weil_data_oracle(curve)
 
 
-def test_order_refused_above_max_p():
+def _weil_data_table(curve):
+    """The O(p^2) table count weil_data_g2 ran before its Cartier-Manin
+    pick: N1 and N2 from a table of the squares of GF(p), with w(a + b s)
+    over GF(p^2) = GF(p)[s]/(s^2 - t) summed from the Taylor coefficients
+    of w at a, and b over 1..(p-1)/2 for the conjugate pairs."""
+    p = curve.field.p
+    wc = list((4 * curve.f + curve.h * curve.h).raw)
+    roots = [0] * p  # roots[v] = #{y : y^2 = v} = 1 + chi(v)
+    for y in range(p):
+        roots[y * y % p] += 1
+    t = roots.index(0)
+    taylor = []
+    for a in range(p):
+        c = wc[:]
+        for k in range(5):
+            for j in range(4, k - 1, -1):
+                c[j] = (c[j] + a * c[j + 1]) % p
+        taylor.append(c[:5])
+    n1 = 1 + sum(roots[c[0]] for c in taylor)
+    n2 = 1 + sum(2 if c[0] else 1 for c in taylor)
+    pairs = 0
+    for b in range(1, (p + 1) // 2):
+        z2 = b * b * t % p
+        z3, z4 = z2 * b % p, z2 * z2 % p
+        top = wc[5] * z4 * b % p
+        pairs += sum(roots[((w0 + w2 * z2 + w4 * z4) ** 2
+                            - t * (w1 * b + w3 * z3 + top) ** 2) % p]
+                     for w0, w1, w2, w3, w4 in taylor)
+    n2 += 2 * pairs
+    a_coef = p + 1 - n1
+    e2 = (a_coef * a_coef - (p * p + 1 - n2)) // 2
+    order = 1 - a_coef + e2 - a_coef * p + p * p
+    return WeilData(q=p, n1=n1, n2=n2, a=a_coef, b=e2 - 2 * p, order=order)
+
+
+_MID_PRIMES = [p for p in range(201, 2001) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(_MID_PRIMES), st.data())
+def test_weil_data_matches_the_table_count(p, data):
+    coeffs = st.integers(0, p - 1)
+    f = data.draw(st.lists(coeffs, min_size=5, max_size=5)) + [1]
+    h = data.draw(st.lists(coeffs, max_size=3))
+    try:
+        curve = HyperCurve.make(GF(p), f, h)
+    except SingularCurveError:
+        assume(False)
+    assert weil_data_g2(curve) == _weil_data_table(curve)
+
+
+def test_ambiguous_pick_is_resolved_by_counting(monkeypatch):
+    # y^2 = x^5 + 1 over GF(11) has 5 rational Weierstrass points and 2
+    # other affine points: one divisor, which leaves more than one candidate
+    counts = []
+    monkeypatch.setattr(jacobian, "_count_n2",
+                        lambda *args: counts.append(args) or _count_n2(*args))
+    assert weil_data_g2(C11) == _weil_data_oracle(C11)
+    assert len(counts) == 1
+
+
+def test_single_candidate_is_checked_on_one_divisor(monkeypatch):
+    # y^2 = x^5 + 1 over GF(61): a = -16 leaves one candidate, which the pick
+    # still checks by [N]D = 0 on the first divisor; with no divisor at all
+    # the candidate stands, and nothing is counted
+    curve = HyperCurve.make(GF(61), [1, 0, 0, 0, 0, 1])
+    want = _weil_data_oracle(curve)
+    assert want.a == -16
+    real, drawn = jacobian._pick_divisors, []
+    monkeypatch.setattr(jacobian, "_pick_divisors",
+                        lambda *args: (drawn.append(d) or d for d in real(*args)))
+    monkeypatch.setattr(jacobian, "_count_n2", None)
+    assert weil_data_g2(curve) == want
+    assert len(drawn) == 1
+    monkeypatch.setattr(jacobian, "_pick_divisors", lambda *args: iter(()))
+    assert weil_data_g2(curve) == want
+
+
+def test_ambiguous_pick_past_the_count_cap_is_refused(monkeypatch):
     curve = HyperCurve.make(GF(10007), [1, 1, 0, 0, 0, 1])
+    assert curve.field.p > COUNT_MAX_P
+    order = weil_data_g2(curve).order
+    monkeypatch.setattr(jacobian, "_pick_divisors", lambda *args: iter(()))
+    with pytest.raises(UnsupportedCaseError, match="50070024 evaluations") as err:
+        weil_data_g2(curve)
+    assert str(order) in str(err.value)
+
+
+def test_weil_data_near_p_1e5():
+    # no oracle runs at this size: the order must lie in the Hasse-Weil
+    # interval, N1 must match a direct count, and [N]D = 0 on random divisors
+    p, rng = 100003, random.Random(5)  # p = 3 mod 4: sqrt(v) = v^((p+1)/4)
+    F = GF(p)
+    curve = HyperCurve.make(F, [rng.randrange(p) for _ in range(5)] + [1],
+                            [rng.randrange(p) for _ in range(3)])
+    data = weil_data_g2(curve)
+    assert hasse_interval_contains(p, data.order)
+    w = [c.value for c in (4 * curve.f + curve.h * curve.h).coeffs]
+    n1 = 1
+    for x in range(p):
+        v = sum(c * pow(x, i, p) for i, c in enumerate(w)) % p
+        n1 += 1 if v == 0 else 2 if pow(v, (p - 1) // 2, p) == 1 else 0
+    assert (data.n1, data.a) == (n1, p + 1 - n1)
+    for _ in range(3):
+        pts = []
+        while len(pts) < 2:
+            x = rng.randrange(p)
+            v = curve.f(F.of(x)) * 4 + curve.h(F.of(x)) ** 2
+            Y = pow(v.value, (p + 1) // 4, p)
+            if Y and Y * Y % p == v.value and x not in [q for q, _ in pts]:
+                pts.append((x, (F.of(Y) - curve.h(F.of(x))) / 2))
+        d = divisor_from_points(curve, pts)
+        assert scalar_mul(data.order, d).is_identity
+
+
+def test_order_refused_above_max_p():
+    curve = HyperCurve.make(GF(1000003), [1, 1, 0, 0, 0, 1])
     assert curve.field.p > ORDER_MAX_P
-    with pytest.raises(UnsupportedCaseError, match="50070024 evaluations"):
+    with pytest.raises(UnsupportedCaseError, match="about 4000012 table and recurrence steps"):
         weil_data_g2(curve)
 
 
