@@ -109,19 +109,21 @@ def scalar_out(x):
     return str(Fraction(x))
 
 
-def scalar_in(field, s):
+def _number(s):
+    """The int or Fraction a scalar document spells."""
     if type(s) is str:  # int() takes a subset of what Fraction() takes
         try:
-            v = int(s)
+            return int(s)
         except ValueError:
             pass
-        else:
-            return field.of(v)
     try:
-        x = Fraction(str(s))
+        return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad scalar {s!r}: {e}")
-    return field.of(x)  # a denominator p divides is a DomainError, exit 3
+
+
+def scalar_in(field, s):
+    return field.of(_number(s))  # a denominator p divides is a DomainError, exit 3
 
 
 def poly_out(p):
@@ -131,7 +133,8 @@ def poly_out(p):
 def poly_in(field, coeffs):
     if not isinstance(coeffs, list):
         raise ParseError("polynomial must be a list of coefficient strings")
-    return Poly(field, [scalar_in(field, c) for c in coeffs])
+    # a generator, so each coefficient is read and reduced before the next
+    return Poly(field, (_number(c) for c in coeffs))
 
 
 def parse_curve(doc):

@@ -6,17 +6,16 @@ Weil polynomial in O(p): a and b mod p from the Cartier-Manin matrix, and
 the order N among the Hasse-Weil candidates with [N]D = 0, for p up to
 ORDER_MAX_P = 10^6 (about 2 s and 26 MB peak RSS at p = 999983).
 
-Cantor's addition runs on the raw coefficient vectors of u and v (int
-residues over GF(p), Fractions over Q) through algebra's raw_* functions,
-the loops Poly itself wraps, and boxes the sum into a MumfordDivisor once.
-In genus g = 2 or 3 over GF(p), a sum of two degree-g divisors with
-coprime u1, u2, or a doubling with 2v + h prime to u, whose result has
-degree g, takes explicit formulas with one inversion instead.  In the
-ladder of a 64-bit scalar_mul (CPython 3.11 on a shared Intel Xeon), a
-genus-2 addition then takes about 12 us at p near 1000 and at p = 65521
-and 27 us at p = 2^61 - 1, and a genus-3 addition 11-20 us at the two
-smaller primes and 31-48 us at 2^61 - 1 (three runs), against 115-175 us
-(genus 2) and 135-330 us (genus 3) through the general code.
+Cantor's addition runs on the raw coefficient vectors of u and v in one
+dispatcher, _raw_sum, shared by cantor_add, interpolation_add_g2 and the
+group-order pick; see there for the order it tries.  Per cantor_add call
+in genus 2 over GF(p), boxing included (median of 20 pairs per kind, best
+of 15 calls each; CPython 3.11 on a shared Intel Xeon): 5.5-7 us for a
+generic sum or a doubling at p near 1000 and 65521 and 13-15 us at p =
+2^61 - 1, 5-11 us with a degree-1 operand and 10-27 us for a shared root;
+in genus 3, 9-13 and 23-25 us for a generic sum or a doubling, but 58-81
+us with a degree-1 operand and 183-290 us for a shared root, which take
+the general composition.
 """
 
 from dataclasses import dataclass
@@ -182,63 +181,67 @@ def cantor_add(d1, d2, height_cap=None):
 
 
 def _cantor_sum(d1, d2):
-    """(D1 + D2, V): the reduced sum, and the raw composed v, the V with
-    V = v1 mod u1 and V = v2 mod u2, when u1, u2 are coprime and D1 != D2
-    (None otherwise).
-
-    In genus 2 over GF(p), with deg u1 = deg u2 = 2, Harley's explicit
-    formulas (Gaudry-Harley, ANTS-IV, LNCS 1838 (2000); Lange, AAECC 15
-    (2005)) give the sum in one straight line with one inversion: V =
-    v1 + u1 s for a linear s, and with k1 = (f - v1 (v1 + h))/u1,
-    f - V (V + h) = -u1 T for T = u1 s^2 + s (2 v1 + h) - k1, so u3 is
-    T/u2 made monic and v3 = -(V + h) mod u3.  s comes from the inverse of
-    a linear a x + b modulo the monic quadratic x^2 + c1 x + c0, which is
-    (-a x + b - a c1)/r with r = b^2 - a b c1 + a^2 c0, and exists iff
-    r != 0.  The pairs with r = 0 (a shared root, D + (-D), a doubling
-    through a Weierstrass point) or with a sum of degree < 2 (s1 = 0) fall
-    through to the general code below.
-
-    In genus 3 over GF(p), with deg u1 = deg u2 = 3, the same line runs
-    with a quadratic s (after Pelzl-Wollinger-Guajardo-Paar, CHES 2003;
-    Wollinger-Pelzl-Paar, IEEE Trans. Comput. 54 (2005)): with t = u1 - u2
-    and w = v2 - v1 for an addition, t = 2v + h mod u and w = (f - v (v +
-    h))/u mod u for a doubling, s = w/t mod u2 solves M s = w for the
-    matrix M of multiplication by t mod u2, so r s = adj(M) w with r =
-    det M = Res(u2, t).  Then V = v1 + u1 s has degree 5, u' = (f - V (V +
-    h))/(u1 u2) has degree 4 and leading coefficient -s2^2, v' = -(V + h)
-    mod u', and u'' = (f - v' (v' + h))/u' is monic of degree 3, as f is
-    monic of degree 7, with v'' = -(v' + h) mod u''; both quotients are
-    read from the top coefficients.  One inversion, of r s2, gives 1/r
-    and 1/s2.  The pairs with r = 0 (a shared root, D + (-D), a doubling
-    through a Weierstrass point) or with a sum of degree < 3 (s2 = 0) pay
-    for r (and r s2) and fall through.  In a 64-bit scalar_mul ladder a
-    genus-3 sum takes 11-20 us at p near 1000 and 65521 and 31-48 us at
-    p = 2^61 - 1, against 135-330 us in the general code.
-
-    There, one xgcd per sum in the common cases: coprime u1, u2 compose by
-    the Chinese remainder theorem, and a doubling with 2v + h prime to u by
-    Newton's step v + k u, k = (f - h v - v^2)/u / (2v + h) mod u.  Any
-    other pair (a shared factor, D + (-D)) takes the general composition
-    through the xgcds of (u1, u2) and (gcd, v1 + v2 + h).
-    """
+    """(D1 + D2, V): _raw_sum on the vectors of the two divisors, its sum
+    boxed into a MumfordDivisor."""
     if d1.curve != d2.curve:
         raise DomainError("divisors live on different curves")
     curve = d1.curve
-    field, g = curve.field, curve.genus
-    f, h = curve.f.raw, curve.h.raw
-    u1, v1, u2, v2 = d1.u.raw, d1.v.raw, d2.u.raw, d2.v.raw
+    field = curve.field
+    (u, v), V = _raw_sum(field, curve.f.raw, curve.h.raw, (d1.u.raw, d1.v.raw),
+                         (d2.u.raw, d2.v.raw))
+    return MumfordDivisor(curve, _poly(field, u), _poly(field, v)), V
+
+
+def _raw_sum(field, f, h, x, y):
+    """((u3, v3), V) for raw divisors x = (u1, v1), y = (u2, v2) on y^2 +
+    h y = f over field, g read from len(f): the reduced sum, and the V
+    with V = v1 mod u1 and V = v2 mod u2 where the sum composed coprime u1,
+    u2 with D1 != D2 (None where it did not: a doubling, a sum on points,
+    an explicit genus-2 sum of degree 1).
+
+    The identity plus a reduced divisor is that divisor.  Over GF(p), two
+    divisors of degree g = 2 or 3 take explicit formulas, _g2_explicit in
+    genus 2 and the line below in genus 3; in genus 2, _g2_special sums
+    what they decline, and every pair with an operand of degree 1, on the
+    rational points the operands share or consist of.
+
+    In genus 3 the genus-2 line runs with a quadratic s (after Pelzl-
+    Wollinger-Guajardo-Paar, CHES 2003; Wollinger-Pelzl-Paar, IEEE Trans.
+    Comput. 54 (2005)): with t = u1 - u2 and w = v2 - v1 for an addition,
+    t = 2v + h mod u and w = (f - v (v + h))/u mod u for a doubling, s =
+    w/t mod u2 solves M s = w for the matrix M of multiplication by t mod
+    u2, so r s = adj(M) w with r = det M = Res(u2, t).  Then V = v1 + u1 s
+    has degree 5, u' = (f - V (V + h))/(u1 u2) has degree 4 and leading
+    coefficient -s2^2, v' = -(V + h) mod u', and u'' = (f - v' (v' +
+    h))/u' is monic of degree 3, as f is monic of degree 7, with v'' =
+    -(v' + h) mod u''; both quotients are read from the top coefficients.
+    One inversion, of r s2, gives 1/r and 1/s2.  The pairs with r = 0 (a
+    shared root, D + (-D), a doubling through a Weierstrass point) or with
+    a sum of degree < 3 (s2 = 0) pay for r (and r s2) and fall through.
+
+    The general code takes what those decline (in genus 2 only pairs that
+    meet a shared rational point twice) and every sum over Q: one xgcd
+    when u1, u2 are coprime (Chinese remainder) or for a doubling with 2v
+    + h prime to u (Newton's step v + k u, k = (f - h v - v^2)/u / (2v +
+    h) mod u), else the general composition through the xgcds of (u1, u2)
+    and (gcd, v1 + v2 + h).
+    """
+    (u1, v1), (u2, v2) = x, y
+    g, double = len(f) // 2 - 1, x == y
     if len(u1) == 1 or len(u2) == 1:  # the identity plus a reduced divisor is that divisor
-        one = (field._one,)
-        for e, z, d, u, v in ((u1, v1, d2, u2, v2), (u2, v2, d1, u1, v1)):
-            if e == one and not z and len(v) < len(u) <= g + 1 and u[-1] == one[0]:
-                return d, None
-    double = u1 == u2 and v1 == v2
-    if g == 2 and len(u1) == len(u2) == 3 and isinstance(field, PrimeField):
-        out = _g2_explicit(field.p, f, h, u1, v1, u2, v2, double)
-        if out and len(out[0]) == 3:  # a sum of degree 1 keeps the general code here
-            u3, v3, cubic = out
-            return MumfordDivisor(curve, _poly(field, u3), _poly(field, v3)), cubic
-    if g == 3 and len(u1) == len(u2) == 4 and isinstance(field, PrimeField):
+        for e, z, u, v in ((u1, v1, u2, v2), (u2, v2, u1, v1)):
+            if e == (field._one,) and not z and len(v) < len(u) <= g + 1 and u[-1] == e[0]:
+                return (u, v), None
+    elif g == 2 and isinstance(field, PrimeField):
+        if len(u1) == len(u2) == 3:
+            out = _g2_explicit(field.p, f, h, u1, v1, u2, v2, double)
+            if out:
+                return out
+        if len(v1) < len(u1) <= 3 and len(v2) < len(u2) <= 3:  # both reduced
+            out = _g2_special(field.p, f, h, u1, v1, u2, v2)
+            if out:
+                return out, None
+    elif g == 3 and len(u1) == len(u2) == 4 and isinstance(field, PrimeField):
         p = field.p
         a0, a1, a2, _ = u1
         b0, b1, b2 = v1 + (0,) * (3 - len(v1))
@@ -295,8 +298,7 @@ def _cantor_sum(d1, d2):
             d1 = (f5 - n2 * K3 - n3 * K2 - m3 * d2 - m2) % p
             d0 = (f4 - n1 * K3 - n2 * K2 - n3 * K1 - m3 * d1 - m2 * d2 - m1) % p
             v3 = field._trim([K3 * d0 - K0, K3 * d1 - K1, K3 * d2 - K2])
-            out = MumfordDivisor(curve, _poly(field, (d0, d1, d2, 1)), _poly(field, v3))
-            return out, None if double else (V0, V1, V2, V3, V4, s2)
+            return ((d0, d1, d2, 1), v3), None if double else (V0, V1, V2, V3, V4, s2)
     add, sub, mul, div, exact, xgcd = (partial(op, field) for op in (
         raw_add, raw_sub, raw_mul, raw_divmod, raw_exact_div, raw_xgcd))
     one = (field._one,)
@@ -323,15 +325,25 @@ def _cantor_sum(d1, d2):
         v3 = div(sub((), add(h, v3)), u3)[1]
     u3 = mul(u3, (field._inv(u3[-1]),))
     v3 = div(v3, u3)[1] if len(u3) > 1 else ()
-    return MumfordDivisor(curve, _poly(field, u3), _poly(field, v3)), cubic
+    return (u3, v3), cubic
 
 
 def _g2_explicit(p, f, h, u1, v1, u2, v2, double):
-    """The explicit genus-2 sum of _cantor_sum on raw vectors over GF(p),
-    deg u1 = deg u2 = 2: (u3, v3, V), V the composed cubic (None for a
-    doubling), or None where r = 0.  With s1 = 0 the sum has degree 1:
-    V = v1 + s0 u1 has degree 2, so f - V (V + h) = u1 u2 (x + m0) and
-    u3 = x + m0 is read from its x^4 coefficient."""
+    """((u3, v3), V) for raw genus-2 divisors over GF(p) with deg u1 =
+    deg u2 = 2, V the composed cubic (None for a doubling and for a sum of
+    degree 1), or None where r = 0.
+
+    Harley's explicit formulas (Gaudry-Harley, ANTS-IV, LNCS 1838 (2000);
+    Lange, AAECC 15 (2005)) give the sum in one straight line with one
+    inversion: V = v1 + u1 s for a linear s, and with k1 = (f - v1 (v1 +
+    h))/u1, f - V (V + h) = -u1 T for T = u1 s^2 + s (2 v1 + h) - k1, so
+    u3 is T/u2 made monic and v3 = -(V + h) mod u3.  s comes from the
+    inverse of a linear a x + b modulo the monic quadratic x^2 + c1 x +
+    c0, which is (-a x + b - a c1)/r with r = b^2 - a b c1 + a^2 c0, and
+    exists iff r != 0; r = 0 for a shared root, D + (-D) and a doubling
+    through a Weierstrass point.  With s1 = 0 the sum has degree 1: V =
+    v1 + s0 u1 has degree 2, so f - V (V + h) = u1 u2 (x + m0) and u3 =
+    x + m0 is read from its x^4 coefficient."""
     a0, a1, _ = u1
     b0, b1 = v1 + (0,) * (2 - len(v1))
     c0, c1, _ = u2
@@ -356,7 +368,7 @@ def _g2_explicit(p, f, h, u1, v1, u2, v2, double):
         W2, W1 = s0 + h2, b1 + a1 * s0 + h1
         m0 = (f[4] - s0 * W2 - a1 - c1) % p
         y0 = (W1 * m0 - W2 * m0 * m0 - b0 - a0 * s0 - h0) % p  # -(V + h)(-m0)
-        return (m0, 1), (y0,) if y0 else (), None
+        return ((m0, 1), (y0,) if y0 else ()), None
     rs0 = (w0 * n0 + w1 * a * c0) % p
     z = pow(r * rs1, -1, p)  # the one inversion
     ir, i1 = z * rs1 % p, z * r * r % p  # 1/r and 1/s1
@@ -371,7 +383,7 @@ def _g2_explicit(p, f, h, u1, v1, u2, v2, double):
     y1 = (W2 * m1 - W1 - s1 * (m1 * m1 - m0)) % p
     y0 = (W2 * m0 - W0 - s1 * m1 * m0) % p
     v3 = (y0, y1) if y1 else (y0,) if y0 else ()
-    return (m0, m1, 1), v3, None if double else (V0, V1, V2, s1)
+    return ((m0, m1, 1), v3), None if double else (V0, V1, V2, s1)
 
 
 def _ev(c, x, p):
@@ -610,8 +622,9 @@ def weil_data_g2(curve):
     has [N]D = 0 for every divisor D, so a single survivor is a proof
     (Gaudry-Harley, ANTS-IV 2000); D runs over sums of two rational points
     taken in order of x, and each is tested on all candidates at once from
-    [N]D for the middle one and [p]D (_pick_e2), in raw genus-2 arithmetic
-    that covers the degenerate sums too, which are frequent at small p.
+    [N]D for the middle one and [p]D (_pick_e2), on raw vectors through
+    _raw_sum, whose sums on points cover the degenerate pairs, frequent at
+    small p.
     Candidates that PICK_DIVISORS divisors leave standing (at tiny p, or
     where the group's exponent divides k p) are decided by counting N2 over
     GF(p^2), up to p = COUNT_MAX_P.  Cost: O(p) time and memory; p >
@@ -670,26 +683,6 @@ def _power_coeffs(g, n, m, inv, p):
     return d1, d2
 
 
-def _g2_sum(curve, x, y):
-    """x + y for raw reduced divisors (u, v) of a genus-2 curve over GF(p):
-    the explicit formulas, the special cases on points, and the general
-    code for the few pairs left."""
-    (u1, v1), (u2, v2) = x, y
-    if len(u1) == 1 or len(u2) == 1:
-        return y if len(u1) == 1 else x
-    p, f, h = curve.field.p, curve.f.raw, curve.h.raw
-    out = None
-    if len(u1) == len(u2) == 3:
-        out = _g2_explicit(p, f, h, u1, v1, u2, v2, x == y)
-    out = out[:2] if out else _g2_special(p, f, h, u1, v1, u2, v2)
-    if out is None:
-        field = curve.field
-        d1, d2 = (MumfordDivisor(curve, _poly(field, u), _poly(field, v)) for u, v in (x, y))
-        d = _cantor_sum(d1, d2)[0]
-        out = d.u.raw, d.v.raw
-    return out
-
-
 def _pick_e2(curve, a, e2s, w, sq, root):
     """The one e2 of e2s whose order N = p^2 + 1 - a (p + 1) + e2 has
     [N]D = 0 on the divisors of _pick_divisors, else from counting N2.
@@ -697,8 +690,9 @@ def _pick_e2(curve, a, e2s, w, sq, root):
     Z = -(k - m) Y, and |k - m| <= 2.  A single candidate is checked too,
     on one divisor, as a test of the Cartier-Manin step, so every call runs
     the same ladder, on raw vectors."""
-    p = curve.field.p
-    add, neg = partial(_g2_sum, curve), partial(_g2_neg, p, curve.h.raw)
+    field, f, h = curve.field, curve.f.raw, curve.h.raw
+    p, neg = field.p, partial(_g2_neg, field.p, h)
+    add = lambda x, y: _raw_sum(field, f, h, x, y)[0]
     m = (len(e2s) - 1) // 2
     n = p * p + 1 - a * (p + 1) + e2s[m]
     alive = range(len(e2s))

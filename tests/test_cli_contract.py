@@ -68,7 +68,10 @@ def test_pinned_transcript(case, tmp_path, capsys):
 # spelled every way int() and Fraction() read or refuse over GF(1009) and
 # Q, and bad-scalar lines followed by good lines on the same curve (a
 # scalar past the 4300-digit limit is tested below, as CPython's message
-# for it changes between versions)
+# for it changes between versions); the last batch, captured before a GF(p)
+# polynomial's coefficients were read without boxing, pins which error a
+# polynomial with a bad denominator and a bad literal reports first, a
+# padded int over GF(7), a decimal over Q and a non-list f
 @pytest.mark.parametrize("case", _pinned("pinned_jacobian_cli.jsonl"),
                          ids=lambda c: c.get("id", " ".join(c["argv"][:2])))
 def test_pinned_jacobian_transcript(case, tmp_path, capsys):
