@@ -13,9 +13,11 @@ in genus 2 over GF(p), boxing included (median of 20 pairs per kind, best
 of 15 calls each; CPython 3.11 on a shared Intel Xeon): 5.5-7 us for a
 generic sum or a doubling at p near 1000 and 65521 and 13-15 us at p =
 2^61 - 1, 5-11 us with a degree-1 operand and 10-27 us for a shared root;
-in genus 3, 9-13 and 23-25 us for a generic sum or a doubling, but 58-81
-us with a degree-1 operand and 183-290 us for a shared root, which take
-the general composition.
+in genus 3, 9.5-13 and 21-24 us for a generic sum or a doubling, 6.5-8
+and 13-15 us with an operand of degree 1 or 2, and 15-18 and 36-38 us for
+a shared root, the same point or its opposite (58-81 and 183-290 us
+through the general composition before).  scalar_mul runs a NAF ladder on
+the raw vectors through the same dispatcher and boxes once.
 """
 
 from dataclasses import dataclass
@@ -29,6 +31,7 @@ from .algebra import (
     PrimeField,
     QQ,
     _poly,
+    _trimmed,
     lagrange_interpolate,
     raw_add,
     raw_bezout,
@@ -197,13 +200,17 @@ def _raw_sum(field, f, h, x, y):
     h y = f over field, g read from len(f): the reduced sum, and the V
     with V = v1 mod u1 and V = v2 mod u2 where the sum composed coprime u1,
     u2 with D1 != D2 (None where it did not: a doubling, a sum on points,
-    an explicit genus-2 sum of degree 1).
+    an explicit genus-2 sum of degree 1, a genus-3 sum with an operand of
+    degree 1 or 2 or a shared root).
 
     The identity plus a reduced divisor is that divisor.  Over GF(p), two
     divisors of degree g = 2 or 3 take explicit formulas, _g2_explicit in
     genus 2 and the line below in genus 3; in genus 2, _g2_special sums
     what they decline, and every pair with an operand of degree 1, on the
-    rational points the operands share or consist of.
+    rational points the operands share or consist of; in genus 3,
+    _g3_special sums a degree-3 divisor and one of degree 1 or 2 (a
+    straight line each, _g3_point_plus and _g3_plus_2), and two of degree
+    3 with one shared root through the split at that root.
 
     In genus 3 the genus-2 line runs with a quadratic s (after Pelzl-
     Wollinger-Guajardo-Paar, CHES 2003; Wollinger-Pelzl-Paar, IEEE Trans.
@@ -217,14 +224,16 @@ def _raw_sum(field, f, h, x, y):
     -(v' + h) mod u''; both quotients are read from the top coefficients.
     One inversion, of r s2, gives 1/r and 1/s2.  The pairs with r = 0 (a
     shared root, D + (-D), a doubling through a Weierstrass point) or with
-    a sum of degree < 3 (s2 = 0) pay for r (and r s2) and fall through.
+    a sum of degree < 3 (s2 = 0) pay for r (and r s2) and fall through to
+    _g3_special.
 
     The general code takes what those decline (in genus 2 only pairs that
-    meet a shared rational point twice) and every sum over Q: one xgcd
-    when u1, u2 are coprime (Chinese remainder) or for a doubling with 2v
-    + h prime to u (Newton's step v + k u, k = (f - h v - v^2)/u / (2v +
-    h) mod u), else the general composition through the xgcds of (u1, u2)
-    and (gcd, v1 + v2 + h).
+    meet a shared rational point twice; in genus 3 the leftovers that
+    _g3_special names) and every sum over Q: one xgcd when u1, u2 are
+    coprime (Chinese remainder) or for a doubling with 2v + h prime to u
+    (Newton's step v + k u, k = (f - h v - v^2)/u / (2v + h) mod u), else
+    the general composition through the xgcds of (u1, u2) and (gcd, v1 +
+    v2 + h).
     """
     (u1, v1), (u2, v2) = x, y
     g, double = len(f) // 2 - 1, x == y
@@ -241,64 +250,69 @@ def _raw_sum(field, f, h, x, y):
             out = _g2_special(field.p, f, h, u1, v1, u2, v2)
             if out:
                 return out, None
-    elif g == 3 and len(u1) == len(u2) == 4 and isinstance(field, PrimeField):
+    elif g == 3 and isinstance(field, PrimeField):
         p = field.p
-        a0, a1, a2, _ = u1
-        b0, b1, b2 = v1 + (0,) * (3 - len(v1))
-        c0, c1, c2, _ = u2
-        h0, h1, h2, h3 = h + (0,) * (4 - len(h))
-        f4, f5, f6 = f[4:7]
-        if double:  # t = 2v + h mod u, w = k mod u for k = (f - v (v + h))/u
-            t0, t1 = (2 * b0 + h0 - h3 * a0) % p, (2 * b1 + h1 - h3 * a1) % p
-            t2 = (2 * b2 + h2 - h3 * a2) % p
-            k3 = f6 - a2  # k = x^4 + k3 x^3 + k2 x^2 + k1 x + k0
-            k2 = (f5 - b2 * h3 - a2 * k3 - a1) % p
-            k1 = (f4 - b1 * h3 - b2 * (b2 + h2) - a2 * k2 - a1 * k3 - a0) % p
-            k0 = f[3] - b0 * h3 - b1 * (b2 + h2) - b2 * (b1 + h1) - a2 * k1 - a1 * k2 - a0 * k3
-            q = k3 - a2
-            w0, w1, w2 = (k0 - q * a0) % p, (k1 - a0 - q * a1) % p, (k2 - a1 - q * a2) % p
-        else:  # t = u1 - u2 = u1 mod u2, w = v2 - v1
-            e0, e1, e2 = v2 + (0,) * (3 - len(v2))
-            t0, t1, t2 = a0 - c0, a1 - c1, a2 - c2
-            w0, w1, w2 = e0 - b0, e1 - b1, e2 - b2
-        # s = w t^-1 mod u2 solves M s = w, M = (t, x t, x^2 t mod u2) by columns
-        x0, x1, x2 = -t2 * c0 % p, (t0 - t2 * c1) % p, (t1 - t2 * c2) % p
-        y0, y1, y2 = -x2 * c0 % p, (x0 - x2 * c1) % p, (x1 - x2 * c2) % p
-        j0, j1, j2 = x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0
-        r = (t0 * j0 + t1 * j1 + t2 * j2) % p  # det M = Res(u2, t)
-        rs2 = r and (w0 * (t1 * x2 - t2 * x1) + w1 * (t2 * x0 - t0 * x2)
-                     + w2 * (t0 * x1 - t1 * x0)) % p  # r s = adj(M) w
-        if rs2:
-            rs0 = (w0 * j0 + w1 * j1 + w2 * j2) % p
-            rs1 = (w0 * (t2 * y1 - t1 * y2) + w1 * (t0 * y2 - t2 * y0)
-                   + w2 * (t1 * y0 - t0 * y1)) % p
-            z = pow(r * rs2, -1, p)  # the one inversion
-            ir, i1 = z * rs2 % p, z * r * r % p  # 1/r and 1/s2
-            s0, s1, s2, i2 = rs0 * ir % p, rs1 * ir % p, rs2 * ir % p, i1 * i1 % p
-            V0, V1 = (b0 + a0 * s0) % p, (b1 + a0 * s1 + a1 * s0) % p  # V = v1 + u1 s
-            V2, V3 = (b2 + a0 * s2 + a1 * s1 + a2 * s0) % p, (a1 * s2 + a2 * s1 + s0) % p
-            V4, G3, G2, G1 = (a2 * s2 + s1) % p, V3 + h3, V2 + h2, V1 + h1
-            # u' = x^4 + m3 x^3 + ... = (f - V (V + h))/(u1 u2) / -s2^2, from the top
-            U5, U4 = a2 + c2, a1 + a2 * c2 + c1
-            U3, U2 = a0 + a1 * c2 + a2 * c1 + c0, a0 * c2 + a1 * c1 + a2 * c0
-            m3 = (2 * V4 * i1 - U5) % p
-            m2 = ((s2 * (V3 + G3) + V4 * V4) * i2 - U5 * m3 - U4) % p
-            m1 = ((s2 * (V2 + G2) + V4 * (V3 + G3) - 1) * i2 - U5 * m2 - U4 * m3 - U3) % p
-            m0 = ((s2 * (V1 + G1) + V4 * (V2 + G2) + V3 * G3 - f6) * i2
-                  - U5 * m1 - U4 * m2 - U3 * m3 - U2) % p
-            # v' = -(V + h) mod u' = n3 x^3 + ... + n0, and K = v' + h
-            q = V4 - s2 * m3
-            K3 = (s2 * m2 + q * m3 - G3 + h3) % p
-            K2 = (s2 * m1 + q * m2 - G2 + h2) % p
-            K1 = (s2 * m0 + q * m1 - G1 + h1) % p
-            K0 = (q * m0 - V0) % p
-            # u'' = (f - v' K)/u', monic of degree 3, and v'' = -K mod u''
-            n3, n2, n1 = K3 - h3, K2 - h2, K1 - h1
-            d2 = (f6 - n3 * K3 - m3) % p
-            d1 = (f5 - n2 * K3 - n3 * K2 - m3 * d2 - m2) % p
-            d0 = (f4 - n1 * K3 - n2 * K2 - n3 * K1 - m3 * d1 - m2 * d2 - m1) % p
-            v3 = field._trim([K3 * d0 - K0, K3 * d1 - K1, K3 * d2 - K2])
-            return ((d0, d1, d2, 1), v3), None if double else (V0, V1, V2, V3, V4, s2)
+        if len(u1) == len(u2) == 4:
+            a0, a1, a2, _ = u1
+            b0, b1, b2 = v1 + (0,) * (3 - len(v1))
+            c0, c1, c2, _ = u2
+            h0, h1, h2, h3 = h + (0,) * (4 - len(h))
+            f4, f5, f6 = f[4:7]
+            if double:  # t = 2v + h mod u, w = k mod u for k = (f - v (v + h))/u
+                t0, t1 = (2 * b0 + h0 - h3 * a0) % p, (2 * b1 + h1 - h3 * a1) % p
+                t2 = (2 * b2 + h2 - h3 * a2) % p
+                k3 = f6 - a2  # k = x^4 + k3 x^3 + k2 x^2 + k1 x + k0
+                k2 = (f5 - b2 * h3 - a2 * k3 - a1) % p
+                k1 = (f4 - b1 * h3 - b2 * (b2 + h2) - a2 * k2 - a1 * k3 - a0) % p
+                k0 = f[3] - b0 * h3 - b1 * (b2 + h2) - b2 * (b1 + h1) - a2 * k1 - a1 * k2 - a0 * k3
+                q = k3 - a2
+                w0, w1, w2 = (k0 - q * a0) % p, (k1 - a0 - q * a1) % p, (k2 - a1 - q * a2) % p
+            else:  # t = u1 - u2 = u1 mod u2, w = v2 - v1
+                e0, e1, e2 = v2 + (0,) * (3 - len(v2))
+                t0, t1, t2 = a0 - c0, a1 - c1, a2 - c2
+                w0, w1, w2 = e0 - b0, e1 - b1, e2 - b2
+            # s = w t^-1 mod u2 solves M s = w, M = (t, x t, x^2 t mod u2) by columns
+            x0, x1, x2 = -t2 * c0 % p, (t0 - t2 * c1) % p, (t1 - t2 * c2) % p
+            y0, y1, y2 = -x2 * c0 % p, (x0 - x2 * c1) % p, (x1 - x2 * c2) % p
+            j0, j1, j2 = x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0
+            r = (t0 * j0 + t1 * j1 + t2 * j2) % p  # det M = Res(u2, t)
+            rs2 = r and (w0 * (t1 * x2 - t2 * x1) + w1 * (t2 * x0 - t0 * x2)
+                         + w2 * (t0 * x1 - t1 * x0)) % p  # r s = adj(M) w
+            if rs2:
+                rs0 = (w0 * j0 + w1 * j1 + w2 * j2) % p
+                rs1 = (w0 * (t2 * y1 - t1 * y2) + w1 * (t0 * y2 - t2 * y0)
+                       + w2 * (t1 * y0 - t0 * y1)) % p
+                z = pow(r * rs2, -1, p)  # the one inversion
+                ir, i1 = z * rs2 % p, z * r * r % p  # 1/r and 1/s2
+                s0, s1, s2, i2 = rs0 * ir % p, rs1 * ir % p, rs2 * ir % p, i1 * i1 % p
+                V0, V1 = (b0 + a0 * s0) % p, (b1 + a0 * s1 + a1 * s0) % p  # V = v1 + u1 s
+                V2, V3 = (b2 + a0 * s2 + a1 * s1 + a2 * s0) % p, (a1 * s2 + a2 * s1 + s0) % p
+                V4, G3, G2, G1 = (a2 * s2 + s1) % p, V3 + h3, V2 + h2, V1 + h1
+                # u' = x^4 + m3 x^3 + ... = (f - V (V + h))/(u1 u2) / -s2^2, from the top
+                U5, U4 = a2 + c2, a1 + a2 * c2 + c1
+                U3, U2 = a0 + a1 * c2 + a2 * c1 + c0, a0 * c2 + a1 * c1 + a2 * c0
+                m3 = (2 * V4 * i1 - U5) % p
+                m2 = ((s2 * (V3 + G3) + V4 * V4) * i2 - U5 * m3 - U4) % p
+                m1 = ((s2 * (V2 + G2) + V4 * (V3 + G3) - 1) * i2 - U5 * m2 - U4 * m3 - U3) % p
+                m0 = ((s2 * (V1 + G1) + V4 * (V2 + G2) + V3 * G3 - f6) * i2
+                      - U5 * m1 - U4 * m2 - U3 * m3 - U2) % p
+                # v' = -(V + h) mod u' = n3 x^3 + ... + n0, and K = v' + h
+                q = V4 - s2 * m3
+                K3 = (s2 * m2 + q * m3 - G3 + h3) % p
+                K2 = (s2 * m1 + q * m2 - G2 + h2) % p
+                K1 = (s2 * m0 + q * m1 - G1 + h1) % p
+                K0 = (q * m0 - V0) % p
+                # u'' = (f - v' K)/u', monic of degree 3, and v'' = -K mod u''
+                n3, n2, n1 = K3 - h3, K2 - h2, K1 - h1
+                d2 = (f6 - n3 * K3 - m3) % p
+                d1 = (f5 - n2 * K3 - n3 * K2 - m3 * d2 - m2) % p
+                d0 = (f4 - n1 * K3 - n2 * K2 - n3 * K1 - m3 * d1 - m2 * d2 - m1) % p
+                v3 = field._trim([K3 * d0 - K0, K3 * d1 - K1, K3 * d2 - K2])
+                return ((d0, d1, d2, 1), v3), None if double else (V0, V1, V2, V3, V4, s2)
+        if len(v1) < len(u1) <= 4 and len(v2) < len(u2) <= 4:  # both reduced
+            out = _g3_special(p, f, h, u1, v1, u2, v2)
+            if out:
+                return out, None
     add, sub, mul, div, exact, xgcd = (partial(op, field) for op in (
         raw_add, raw_sub, raw_mul, raw_divmod, raw_exact_div, raw_xgcd))
     one = (field._one,)
@@ -493,6 +507,129 @@ def _g2_special(p, f, h, u1, v1, u2, v2):
     return None
 
 
+def _g3_point_plus(p, f, h, x1, y1, u, v):
+    """P + D for a point P and a reduced genus-3 D of degree 2 or 3 with
+    u(x1) != 0: V = v + k u through P, k = (y1 - v(x1))/u(x1).  Of degree 2,
+    D composes to (u (x - x1), V); of degree 3, the sum u3 = (f - V (V +
+    h))/(u (x - x1)) is monic of degree 3, read from the top, and v3 =
+    -(V + h) mod u3."""
+    k = (y1 - _ev(v, x1, p)) * pow(_ev(u, x1, p), -1, p) % p
+    if len(u) == 3:
+        (c0, c1, _), (e0, e1) = u, v + (0,) * (2 - len(v))
+        V = _trimmed([(e0 + c0 * k) % p, (e1 + c1 * k) % p, k])
+        return (-c0 * x1 % p, (c0 - c1 * x1) % p, (c1 - x1) % p, 1), V
+    (c0, c1, c2, _), (e0, e1, e2) = u, v + (0,) * (3 - len(v))
+    h0, h1, h2, h3 = h + (0,) * (4 - len(h))
+    V1, V2 = e1 + c1 * k, e2 + c2 * k  # V = k x^3 + V2 x^2 + V1 x + V0
+    W0, W1, W2, W3 = e0 + c0 * k + h0, V1 + h1, V2 + h2, k + h3  # W = V + h
+    U3, U2, U1 = c2 - x1, c1 - c2 * x1, c0 - c1 * x1  # u (x - x1) = x^4 + U3 x^3 + ...
+    m2 = (f[6] - k * W3 - U3) % p
+    m1 = (f[5] - k * W2 - V2 * W3 - U3 * m2 - U2) % p
+    m0 = (f[4] - k * W1 - V2 * W2 - V1 * W3 - U3 * m1 - U2 * m2 - U1) % p
+    return (m0, m1, m2, 1), _trimmed([(W3 * m0 - W0) % p, (W3 * m1 - W1) % p,
+                                      (W3 * m2 - W2) % p])
+
+
+def _g3_plus_2(p, f, h, u1, v1, u2, v2):
+    """D1 + D2 for reduced genus-3 divisors over GF(p) with deg u1 = 3 and
+    deg u2 = 2, or None where they share a root (r = 0).
+
+    As in Harley's step, s = (v2 - v1) u1^-1 mod u2 is linear, from the
+    inverse (-a x + b - a c1)/r of u1 mod u2 = a x + b, r = Res(u2, a x +
+    b); V = v1 + u1 s has degree 4, and u3 = (f - V (V + h))/(u1 u2) has
+    degree 3 and leading coefficient -s1^2, read from the top, with v3 =
+    -(V + h) mod u3.  One inversion, of r s1, gives 1/r and 1/s1.  With s1
+    = 0 the sum has degree 2: V = v1 + s0 u1 has degree <= 3, and u3 is
+    monic of degree 2."""
+    a0, a1, a2, _ = u1
+    b0, b1, b2 = v1 + (0,) * (3 - len(v1))
+    c0, c1, _ = u2
+    e0, e1 = v2 + (0,) * (2 - len(v2))
+    h0, h1, h2, h3 = h + (0,) * (4 - len(h))
+    w1, w0 = e1 - b1 + b2 * c1, e0 - b0 + b2 * c0  # w = v2 - v1 mod u2
+    a, b = (c1 * c1 - c0 - a2 * c1 + a1) % p, (c1 * c0 - a2 * c0 + a0) % p
+    n0 = (b - a * c1) % p
+    r = (b * n0 + a * a * c0) % p
+    if not r:
+        return None
+    rs1, rs0 = (w1 * b - w0 * a) % p, (w0 * n0 + w1 * a * c0) % p  # r s = rs1 x + rs0
+    U4, U3, U2 = a2 + c1, a1 + a2 * c1 + c0, a0 + a1 * c1 + a2 * c0  # u1 u2 = x^5 + U4 x^4 + ...
+    if not rs1:  # u3 = x^2 + m1 x + m0, v3 = -W mod u3 for W = V + h of degree <= 3
+        s0 = rs0 * pow(r, -1, p) % p
+        V2, W3 = b2 + a2 * s0, s0 + h3
+        W2, W1, W0 = V2 + h2, b1 + a1 * s0 + h1, b0 + a0 * s0 + h0
+        m1 = (f[6] - s0 * W3 - U4) % p
+        m0 = (f[5] - s0 * W2 - V2 * W3 - U4 * m1 - U3) % p
+        y1 = (W3 * (m0 - m1 * m1) + W2 * m1 - W1) % p
+        y0 = ((W2 - W3 * m1) * m0 - W0) % p
+        return (m0, m1, 1), _trimmed([y0, y1])
+    z = pow(r * rs1, -1, p)  # the one inversion
+    ir, i1 = z * rs1 % p, z * r * r % p  # 1/r and 1/s1
+    s1, s0 = rs1 * ir % p, rs0 * ir % p
+    i2 = i1 * i1 % p
+    V3, V2 = s0 + a2 * s1, b2 + a2 * s0 + a1 * s1  # V = s1 x^4 + V3 x^3 + ...
+    V1, V0 = b1 + a1 * s0 + a0 * s1, b0 + a0 * s0
+    W3, W2, W1, W0 = V3 + h3, V2 + h2, V1 + h1, V0 + h0  # W = V + h
+    m2 = ((s1 * (V3 + W3) - 1) * i2 - U4) % p
+    m1 = ((s1 * (V2 + W2) + V3 * W3 - f[6]) * i2 - U4 * m2 - U3) % p
+    m0 = ((s1 * (V1 + W1) + V3 * W2 + V2 * W3 - f[5]) * i2 - U4 * m1 - U3 * m2 - U2) % p
+    q = W3 - s1 * m2  # W - s1 x u3 = q x^3 + ..., then minus q u3
+    return (m0, m1, m2, 1), _trimmed([(q * m0 - W0) % p, (s1 * m0 + q * m1 - W1) % p,
+                                      (s1 * m1 + q * m2 - W2) % p])
+
+
+def _g3_split(p, u, v, x0):
+    """(A, w, y0) for a genus-3 divisor D = (u, v) of degree 3 through x =
+    x0: D = Q + A for the point Q = (x0, y0) and A = (u/(x - x0), v mod
+    that), by synthetic division."""
+    d1 = (u[2] + x0) % p
+    d0 = (u[1] + x0 * d1) % p
+    e0, e1, e2 = v + (0,) * (3 - len(v))
+    return (d0, d1, 1), _trimmed([(e0 - e2 * d0) % p, (e1 - e2 * d1) % p]), _ev(v, x0, p)
+
+
+def _g3_special(p, f, h, u1, v1, u2, v2):
+    """D1 + D2 for reduced genus-3 divisors over GF(p), one of degree 3,
+    where the explicit line does not apply or declines, through a point and
+    the degree-2 rest of an operand; None for the pairs left to the general
+    code.
+
+    A point P = (x1, y1) plus D takes _g3_point_plus where u(x1) != 0, a
+    divisor of degree 2 plus D takes _g3_plus_2 where the two are coprime.
+    Two of degree 3 with the one shared root x0 (gcd(u1, u2) = x - x0, read
+    from u2 mod u1 - u2) split D2 = Q + A2 at x0, or D1 where x0 is a
+    double root of u2, and sum (D1 + A2) + Q, whether Q is D1's point at x0
+    or its opposite.  Left over: both of degree <= 2, a point P plus a D
+    with u(x1) = 0, a shared root with an operand of degree 2, two or three
+    shared roots (D + (-D) among them), a shared root met again by D1 + A2,
+    and the pairs of degree 3 that the explicit line declines with no
+    shared root (a doubling through a Weierstrass point, a sum of degree <
+    3)."""
+    if len(u1) < len(u2):
+        u1, v1, u2, v2 = u2, v2, u1, v1
+    if len(u1) < 4:
+        return None
+    if len(u2) == 2:  # a point P plus D1
+        x1 = -u2[0] % p
+        return _g3_point_plus(p, f, h, x1, _ev(v2, 0, p), u1, v1) if _ev(u1, x1, p) else None
+    if len(u2) == 3:
+        return _g3_plus_2(p, f, h, u1, v1, u2, v2)
+    c0, c1, c2, _ = u2
+    t0, t1, t2 = u1[0] - c0, u1[1] - c1, u1[2] - c2  # t = u1 - u2
+    # x0 = -n0/n1 for t2^2 (u2 mod t) = n1 x + n0, or t1 t where t2 = 0
+    n1 = (t1 * t1 - t0 * t2 - c2 * t1 * t2 + c1 * t2 * t2) % p
+    if not n1:
+        return None
+    x0 = -(t1 * t0 - c2 * t0 * t2 + c0 * t2 * t2) * pow(n1, -1, p) % p
+    if _ev(u1, x0, p) or _ev(u2, x0, p):  # coprime after all
+        return None
+    A, w, y0 = _g3_split(p, u2, v2, x0)
+    if not _ev(A, x0, p):
+        u1, v1, (A, w, y0) = u2, v2, _g3_split(p, u1, v1, x0)
+    u, v = _g3_plus_2(p, f, h, u1, v1, A, w)
+    return _g3_point_plus(p, f, h, x0, y0, u, v) if _ev(u, x0, p) else None
+
+
 def negate(divisor):
     """Image under the hyperelliptic involution, v -> (-v - h) mod u."""
     u = divisor.u
@@ -502,18 +639,32 @@ def negate(divisor):
 
 
 def scalar_mul(k, divisor, height_cap=None):
-    """k-fold sum by double-and-add; 0 gives the identity."""
-    if k < 0:
-        return negate(scalar_mul(-k, divisor, height_cap))
-    acc = identity(divisor.curve)
-    base = divisor
-    while k:
-        if k & 1:
-            acc = cantor_add(acc, base, height_cap)
-        k >>= 1
-        if k:
-            base = cantor_add(base, base, height_cap)
-    return acc
+    """k-fold sum by a left-to-right NAF ladder on |k| through _raw_sum, on
+    raw vectors: a doubling per digit below the top one and a sum with D or
+    -D per nonzero digit, negated at the end for k < 0 and boxed once; 0
+    gives the identity.  Over Q with height_cap, D and every sum of the
+    ladder are checked against the cap."""
+    curve = divisor.curve
+    if not k:
+        return identity(curve)
+    field, f, h = curve.field, curve.f.raw, curve.h.raw
+    box = lambda x: MumfordDivisor(curve, _poly(field, x[0]), _poly(field, x[1]))
+    neg = lambda x: (x[0], raw_divmod(field, raw_sub(field, (), raw_add(field, x[1], h)), x[0])[1])
+    checked = height_cap is not None and field == QQ
+
+    def add(x, y):
+        out = _raw_sum(field, f, h, x, y)[0]
+        if checked:
+            _check_height(box(out), height_cap)
+        return out
+
+    acc = d = add(((field._one,), ()), (divisor.u.raw, divisor.v.raw))  # D, reduced
+    nd, digits = neg(d), _naf(abs(k))
+    for e in reversed(digits[:-1]):
+        acc = add(acc, acc)
+        if e:
+            acc = add(acc, d if e > 0 else nd)
+    return box(neg(acc) if k < 0 else acc)
 
 
 @dataclass(frozen=True)

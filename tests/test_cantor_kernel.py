@@ -1,8 +1,9 @@
 """Cantor's addition on raw residue vectors against the Poly-based
 composition it replaced, kept here verbatim as an oracle, and scalar_mul
 against repeated addition; the genus-2 and genus-3 explicit formulas over
-GF(p), the pairs they decline and, in genus 2, the sums on points that
-take those; the interpolation adder against its Poly-based version."""
+GF(p), the pairs they decline and the straight lines that take those (sums
+on points in genus 2; mixed degrees and a split at a shared root in genus
+3); the interpolation adder against its Poly-based version."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -200,17 +201,6 @@ def counting_xgcd():
         yield calls
 
 
-def _explicit(x, y, total):
-    """Whether the genus-3 explicit formulas cover x + y = total: x and y
-    of degree g, u1 and u2 coprime (2v + h prime to u for a doubling) and a
-    total of degree g."""
-    g = x.curve.genus
-    if x.u.degree != g or y.u.degree != g:
-        return False
-    other = y.u if x != y else 2 * x.v + x.curve.h
-    return x.u.gcd(other).degree == 0 and total.u.degree == g
-
-
 @pytest.mark.parametrize("with_h", [False, True], ids=["h=0", "h!=0"])
 @pytest.mark.parametrize("name", GF_NAMES)
 @G2_SETTINGS
@@ -379,12 +369,46 @@ def test_raw_g2_negation_matches_negate(p, f, h):
 
 # ---------------------------------------------------------------------------
 # genus 3 over GF(p): the explicit sum inside cantor_add (s = w t^-1 mod u2
-# from a 3 x 3 adjugate) and the pairs it declines
+# from a 3 x 3 adjugate), the mixed-degree and shared-root sums that take
+# what it does not cover, and the pairs left to the general code
 
 G3_FIELDS = {"GF(3)": GF(3), **{name: FIELDS[name] for name in GF_NAMES}}
 G3_SETTINGS = settings(max_examples=15, deadline=None,
                        suppress_health_check=[HealthCheck.too_slow,
                                               HealthCheck.filter_too_much])
+
+
+def _g3_leftover(x, y, total):
+    """Whether cantor_add leaves x + y = total to the general code in genus
+    3 over GF(p): two operands of degree 1 or 2; a point plus a D whose u
+    vanishes at its x; an operand of degree 2 sharing a root with one of
+    degree 3; two of degree 3 that the explicit line declines (a doubling
+    with 2v + h not prime to u, a total of degree < 3, two or three shared
+    roots), unless they share one root x0 and the split sum, x + A for y =
+    Q + A (or y + A for x = Q + A where x0 is a double root of y.u), does
+    not meet x0 again."""
+    if x.is_identity or y.is_identity:
+        return False
+    if x.u.degree < y.u.degree:
+        x, y = y, x
+    curve = x.curve
+    if x.u.degree < 3:
+        return True
+    if y.u.degree == 1:
+        return x.u(-y.u[0]) == 0
+    if y.u.degree == 2:
+        return x.u.gcd(y.u).degree > 0
+    e = x.u.gcd(y.u if x != y else 2 * x.v + curve.h)
+    if e.degree == 0:
+        return total.u.degree < 3
+    if x == y or e.degree > 1:
+        return True
+    x0 = -e[0]
+    line = Poly(curve.field, [-x0, 1])
+    if y.u.exact_div(line)(x0) == 0:
+        x, y = y, x
+    rest = y.u.exact_div(line)
+    return oracle_cantor_add(x, MumfordDivisor(curve, rest, y.v % rest)).u(x0) == 0
 
 
 def _degree_3_divisors(draw, curve, pts):
@@ -410,20 +434,50 @@ def test_explicit_g3_sum_matches_poly_oracle(name, with_h, data):
                 got = cantor_add(x, y)
             want = oracle_cantor_add(x, y)
             assert got == want
-            assert (calls[0] == 0) == _explicit(x, y, want)
+            assert (calls[0] > 0) == _g3_leftover(x, y, want)
+
+
+@pytest.mark.parametrize("with_h", [False, True], ids=["h=0", "h!=0"])
+@pytest.mark.parametrize("name", ["GF(1009)", "GF(65521)", "GF(2^61-1)"])
+@G3_SETTINGS
+@given(data=st.data())
+def test_g3_mixed_degree_sum_takes_no_xgcd(name, with_h, data):
+    # a point (3 + 1) or a degree-2 divisor (3 + 2) plus a degree-3 one on
+    # other points, or plus a sum not supported on rational points
+    curve, pts = data.draw(curves_with_points(FIELDS[name], genus=3, with_h=with_h))
+    assume(len(pts) >= 5)
+    d = divisor_from_points(curve, pts[:3])
+    total = oracle_cantor_add(d, divisor_from_points(curve, pts[3:5]))
+    for small in (divisor_from_points(curve, pts[3:4]), divisor_from_points(curve, pts[3:5])):
+        for big in (d, total):
+            for x, y in ((small, big), (big, small)):
+                with counting_xgcd() as calls:
+                    got = cantor_add(x, y)
+                want = oracle_cantor_add(x, y)
+                assert got == want
+                assert (calls[0] > 0) == _g3_leftover(x, y, want)
+                assert calls[0] == 0 or big is total
 
 
 @pytest.mark.parametrize("name", GF_NAMES)
 @G3_SETTINGS
 @given(data=st.data())
 def test_explicit_g3_declines_a_shared_root(name, data):
+    # r = Res(u2, u1 - u2) = 0: D2 = Q + A2 at the shared root, and (D1 +
+    # A2) + Q, whether Q is the point of D1 there or its opposite; the
+    # general code only where D1 + A2 meets x0 again (at small p)
     curve, pts = data.draw(curves_with_points(FIELDS[name], genus=3))
     assume(len(pts) >= 5)
+    (x0, y0), rest = pts[0], pts[3:5]
     d1 = divisor_from_points(curve, pts[:3])
-    d2 = divisor_from_points(curve, [pts[0], pts[3], pts[4]])  # r = Res(u2, u1) = 0
-    with counting_xgcd() as calls:
-        assert cantor_add(d1, d2) == oracle_cantor_add(d1, d2)
-    assert calls[0] >= 1
+    for q in ((x0, y0), (x0, -y0 - curve.h(x0))):
+        d2 = divisor_from_points(curve, [q, *rest])
+        for x, y in ((d1, d2), (d2, d1)):
+            with counting_xgcd() as calls:
+                got = cantor_add(x, y)
+            want = oracle_cantor_add(x, y)
+            assert got == want
+            assert (calls[0] > 0) == _g3_leftover(x, y, want)
 
 
 @pytest.mark.parametrize("name", GF_NAMES)
@@ -468,16 +522,46 @@ def test_explicit_g3_declines_a_sum_of_degree_below_3(name, data):
 
 def test_explicit_g3_branch_is_taken():
     # as for genus 2: a gate that sent every pair to the general code would
-    # pass the comparisons above
+    # pass the comparisons above; the explicit line, the mixed-degree sums
+    # and the split at a shared root (same or opposite point) take none, a
+    # point plus a divisor through it or its opposite does
     curve = HyperCurve.make(GF(65521), [5, 0, 11, 3, 0, 7, 2, 1], [3, 1, 0, 2])
     pts = _rational_points(curve, 6)
     a = divisor_from_points(curve, pts[:3])
     b = divisor_from_points(curve, pts[3:])
-    shared = divisor_from_points(curve, [pts[0], pts[3], pts[4]])
-    for x, y, general in [(a, b, False), (a, a, False), (a, shared, True)]:
+    (x0, y0), rest = pts[0], pts[3:5]
+    shared = divisor_from_points(curve, [pts[0], *rest])
+    opposite = divisor_from_points(curve, [(x0, -y0 - curve.h(x0)), *rest])
+    point, pair = divisor_from_points(curve, pts[:1]), divisor_from_points(curve, rest)
+    for x, y, general in [(a, b, False), (a, a, False), (a, shared, False),
+                          (opposite, a, False), (b, point, False), (pair, a, False),
+                          (negate(point), a, True), (point, a, True)]:
         with counting_xgcd() as calls:
             assert cantor_add(x, y) == oracle_cantor_add(x, y)
         assert (calls[0] >= 1) == general
+
+
+G3_ALL_PAIRS = [  # (p, f, h): every pair of divisors, h = 0 and h != 0
+    (3, [1, 1, 0, 1, 2, 1, 1, 1], []),
+    (3, [1, 1, 1, 2, 0, 2, 0, 1], [1, 0, 0, 2]),
+    (5, [2, 0, 3, 4, 0, 1, 4, 1], []),
+    (5, [2, 3, 2, 4, 1, 4, 1, 1], [2, 1, 0, 4]),
+]
+
+
+@pytest.mark.parametrize("p, f, h", G3_ALL_PAIRS, ids=[f"GF({p})-{i}" for i, (p, _, _) in
+                                                       enumerate(G3_ALL_PAIRS)])
+def test_raw_g3_sum_matches_poly_oracle_on_every_pair(p, f, h):
+    # over the smallest fields every kind of pair occurs, the leftovers too
+    curve = HyperCurve.make(GF(p), f, h)
+    divs = jacobian.enumerate_divisors(curve)
+    for x in divs:
+        for y in divs:
+            with counting_xgcd() as calls:
+                got = cantor_add(x, y)
+            want = oracle_cantor_add(x, y)
+            assert got == want
+            assert (calls[0] > 0) == _g3_leftover(x, y, want)
 
 
 @pytest.mark.parametrize("name", ["GF(1009)", "GF(65521)", "GF(2^61-1)"])

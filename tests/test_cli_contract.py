@@ -59,19 +59,25 @@ def test_pinned_transcript(case, tmp_path, capsys):
 # Cantor's addition moved onto raw residue vectors; the next 45 lines, in
 # genus 2 with h != 0 and h = 0 (both methods), add a generic sum and
 # doubling, a shared root, a doubling through a Weierstrass point and a sum
-# of degree 1, captured before the explicit genus-2 formulas; the last 24,
+# of degree 1, captured before the explicit genus-2 formulas; the next 24,
 # in genus 3 with h = 0 and h != 0, add a shared root, D + (-D), a doubling
 # through a Weierstrass point and a sum of degree 2, captured before the
-# explicit genus-3 formulas; the last 7 are batches, captured before a batch
+# explicit genus-3 formulas; the next 7 are batches, captured before a batch
 # checked a field and a curve once per run of lines: two curves alternating,
 # a singular curve on consecutive lines, one f over two fields, scalars
 # spelled every way int() and Fraction() read or refuse over GF(1009) and
 # Q, and bad-scalar lines followed by good lines on the same curve (a
 # scalar past the 4300-digit limit is tested below, as CPython's message
-# for it changes between versions); the last batch, captured before a GF(p)
+# for it changes between versions); the next batch, captured before a GF(p)
 # polynomial's coefficients were read without boxing, pins which error a
 # polynomial with a bad denominator and a bad literal reports first, a
-# padded int over GF(7), a decimal over Q and a non-list f
+# padded int over GF(7), a decimal over Q and a non-list f; the last 44, in
+# genus 3 at GF(65521) and GF(2^61 - 1) with h = 0 and h != 0, captured
+# before the genus-3 mixed-degree and shared-root sums left the general
+# composition, add a shared root (the same point, its opposite, with an
+# irreducible quadratic rest), two shared roots, a point or a degree-2
+# divisor plus a degree-3 one in both orders, a point whose own or opposite
+# point lies in the other's support, and two divisors of degree 2
 @pytest.mark.parametrize("case", _pinned("pinned_jacobian_cli.jsonl"),
                          ids=lambda c: c.get("id", " ".join(c["argv"][:2])))
 def test_pinned_jacobian_transcript(case, tmp_path, capsys):
