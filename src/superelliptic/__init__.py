@@ -41,6 +41,7 @@ from .weighted import (
     enumerate_bounded_height,
     moduli_point,
     normalize,
+    normalized_height,
     star_act,
     weighted_height,
     wgcd,

@@ -35,18 +35,32 @@ from .errors import CharacteristicError, DomainError, UnsupportedCaseError
 # integer helpers
 
 
+# The first 13 primes, and (psi_k, k): every composite below psi_k fails
+# Miller-Rabin at one of the first k primes, psi_k being the least strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (
+    (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+    (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
+    (3825123056546413051, 9), (318665857834031151167461, 12),
+)
+
+
 def is_prime(n):
-    """Deterministic Miller-Rabin, valid far beyond anything we factor."""
+    """Miller-Rabin at the first k primes, k as few as n's size needs:
+    proven below psi_13 = 3317044064679887385961981; above it, True means
+    a strong probable prime to every prime base up to 41."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    k = next((k for psi, k in _MR_PSI if n < psi), 13)
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -275,9 +275,9 @@ def cmd_moduli_point(p):
 
 @command("height", "point:doc")
 def cmd_height(p):
-    pt = parse_point(p["point"])
-    return {"height": height_out(weighted.weighted_height(pt)),
-            "normalized": point_out(weighted.normalize(pt))}
+    pt = weighted.normalize(parse_point(p["point"]))
+    return {"height": height_out(weighted.normalized_height(pt)),
+            "normalized": point_out(pt)}
 
 
 @command("wgcd", "point:doc")

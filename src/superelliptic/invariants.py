@@ -13,6 +13,20 @@ that a sextic with a root of multiplicity exactly three satisfies
 equivalently J4 = 9 J2^2 and 27 J6 = J2^3 in ratio form.  With this
 calibration J2, J4, J6 are primitive integer polynomials in the
 coefficients; J10 is taken to be the discriminant itself.
+
+Work by entry point.  A record splits into a head, which moduli points
+and equivalence tests read, and a tail, which only the printed record
+shows; `igusa_sextic` and `octavic_invariants` build the head and then
+the tail, so no covariant is written twice.
+- Sextic head, 5 transvectants: ff4 = (f, f)_4, A = (f, f)_6,
+  B = (ff4, ff4)_4, delta = (ff4, ff4)_2 and C = (ff4, delta)_4, giving
+  J2, J4, J6; tail, 4 more: y1 = (f, ff4)_4, y2 = (ff4, y1)_2,
+  y3 = (ff4, y2)_2 and D = (y3, y1)_2, then the integral invariants.
+- Octavic head, 10 transvectants: g = (f, f)_4, k = (f, f)_6,
+  h = (k, k)_2, m = (f, k)_4 and one more for each of J2..J7; tail,
+  6 more: (g, k)_4, (f, h)_4 and (g, h)_4, each against h for J8..J10.
+`moduli_point`, `sextic_equivalent`, `octavic_equivalent` and
+`multiplicity_profile` on a sextic compute the head only.
 """
 
 from dataclasses import dataclass
@@ -94,70 +108,84 @@ class DihedralInvariants:
     u: tuple
 
 
-def clebsch_sextic(f):
-    """Clebsch invariants (A, B, C, D) of a binary sextic."""
+def _sextic_check(f, name):
     if not isinstance(f, BinaryForm) or f.degree != 6:
-        raise DomainError("clebsch_sextic needs a binary sextic")
+        raise DomainError(f"{name} needs a binary sextic")
+
+
+def _sextic_head(f, J10):
+    """The moduli tuple (J2, J4, J6, J10) of the sextic f whose
+    discriminant is J10, and the (ff4, A, B, C) it is computed from."""
+    fr = f.field.from_fraction
     ff4 = _tv(f, f, 4)
     A = _tv(f, f, 6)
     B = _tv(ff4, ff4, 4)
     delta = _tv(ff4, ff4, 2)
     C = _tv(ff4, delta, 4)
+    J2 = fr(_J2_FROM_A) * A
+    J4 = fr(_J4_FROM_A2) * A * A + fr(_J4_FROM_B) * B
+    J6 = fr(_J6_FROM_C) * C
+    return (J2, J4, J6, J10), (ff4, A, B, C)
+
+
+def _clebsch_D(f, ff4):
+    """Clebsch's D of the sextic f, from its covariant ff4 = (f, f)_4."""
     y1 = _tv(f, ff4, 4)
     y2 = _tv(ff4, y1, 2)
     y3 = _tv(ff4, y2, 2)
-    D = _tv(y3, y1, 2)
-    return A, B, C, D
+    return _tv(y3, y1, 2)
+
+
+def clebsch_sextic(f):
+    """Clebsch invariants (A, B, C, D) of a binary sextic."""
+    _sextic_check(f, "clebsch_sextic")
+    _, (ff4, A, B, C) = _sextic_head(f, None)
+    return A, B, C, _clebsch_D(f, ff4)
 
 
 def igusa_sextic(f):
     """Full invariant record of a binary sextic (see module docstring)."""
-    if not isinstance(f, BinaryForm) or f.degree != 6:
-        raise DomainError("igusa_sextic needs a binary sextic")
-    return _sextic_record(f, discriminant(f))
-
-
-def _sextic_record(f, J10):
-    """The invariant record of the sextic f, whose discriminant is J10."""
-    field = f.field
-    A, B, C, D = clebsch_sextic(f)
-    J2 = field.from_fraction(_J2_FROM_A) * A
-    J4 = field.from_fraction(_J4_FROM_A2) * A * A + field.from_fraction(_J4_FROM_B) * B
-    J6 = field.from_fraction(_J6_FROM_C) * C
+    _sextic_check(f, "igusa_sextic")
+    (J2, J4, J6, J10), (ff4, A, B, C) = _sextic_head(f, discriminant(f))
     # integral invariants from the J's, inverting the displayed relations
     Afrak = 8 * J2
     Bfrak = 4 * J2 * J2 - 96 * J4
     Cfrak = 8 * J2**3 - 160 * J2 * J4 - 576 * J6
     Dfrak = 4096 * J10
-    return SexticInvariants(J2, J4, J6, J10, A, B, C, D, Afrak, Bfrak, Cfrak, Dfrak)
+    return SexticInvariants(J2, J4, J6, J10, A, B, C, _clebsch_D(f, ff4),
+                            Afrak, Bfrak, Cfrak, Dfrak)
 
 
-def octavic_invariants(f):
-    """The scaled transvectant invariants J2..J10 of a binary octavic."""
+def _octavic_head(f):
+    """The generators (J2, .., J7) of the octavic f, and the covariants
+    (g, k, h) that J8, J9 and J10 go on from."""
     if not isinstance(f, BinaryForm) or f.degree != 8:
         raise DomainError("octavic_invariants needs a binary octavic")
-    field = f.field
-    p = field.characteristic
+    p = f.field.characteristic
     if p and p <= 7:
         raise UnsupportedCaseError("octavic invariants need characteristic 0 or > 7")
+    fr = f.field.from_fraction
     g = _tv(f, f, 4)
     k = _tv(f, f, 6)
     h = _tv(k, k, 2)
     m = _tv(f, k, 4)
-    n = _tv(f, h, 4)
-    pp = _tv(g, k, 4)
-    q = _tv(g, h, 4)
-    fr = field.from_fraction
     J2 = fr(Fraction(2**2 * 5 * 7)) * _tv(f, f, 8)
     J3 = fr(Fraction(2**4 * 5**2 * 7**3, 3)) * _tv(f, g, 8)
     J4 = fr(Fraction(2**9 * 3 * 7**4)) * _tv(k, k, 4)
     J5 = fr(Fraction(2**9 * 5 * 7**5)) * _tv(m, k, 4)
     J6 = fr(Fraction(2**14 * 3**2 * 7**6)) * _tv(k, h, 4)
     J7 = fr(Fraction(2**14 * 3 * 5 * 7**7)) * _tv(m, h, 4)
-    J8 = fr(Fraction(2**17 * 3 * 5**2 * 7**9)) * _tv(pp, h, 4)
-    J9 = fr(Fraction(2**19 * 3**2 * 5 * 7**9)) * _tv(n, h, 4)
-    J10 = fr(Fraction(2**22 * 3**2 * 5**2 * 7**11)) * _tv(q, h, 4)
-    return OctavicInvariants(J2, J3, J4, J5, J6, J7, J8, J9, J10)
+    return (J2, J3, J4, J5, J6, J7), (g, k, h)
+
+
+def octavic_invariants(f):
+    """The scaled transvectant invariants J2..J10 of a binary octavic."""
+    head, (g, k, h) = _octavic_head(f)
+    fr = f.field.from_fraction
+    J8 = fr(Fraction(2**17 * 3 * 5**2 * 7**9)) * _tv(_tv(g, k, 4), h, 4)
+    J9 = fr(Fraction(2**19 * 3**2 * 5 * 7**9)) * _tv(_tv(f, h, 4), h, 4)
+    J10 = fr(Fraction(2**22 * 3**2 * 5**2 * 7**11)) * _tv(_tv(g, h, 4), h, 4)
+    return OctavicInvariants(*head, J8, J9, J10)
 
 
 def sextic_equivalent(f, g):
@@ -165,19 +193,22 @@ def sextic_equivalent(f, g):
 
     Returns a scalar r with J_w(f) = r^w J_w(g) for all weights, or None.
     """
-    inv_f = igusa_sextic(f)
-    inv_g = igusa_sextic(g)
-    if not inv_f.J10 or not inv_g.J10:
+    inv = []
+    for h in (f, g):  # igusa_sextic's checks, in its order, without its tail
+        _sextic_check(h, "igusa_sextic")
+        inv.append(_sextic_head(h, discriminant(h))[0])
+    inv_f, inv_g = inv
+    if not inv_f[3] or not inv_g[3]:
         raise SingularCurveError("sextic equivalence needs nonzero discriminants")
-    return match_weighted_scale(inv_f.tuple(), inv_g.tuple(), SEXTIC_WEIGHTS, f.field)
+    return match_weighted_scale(inv_f, inv_g, SEXTIC_WEIGHTS, f.field)
 
 
 def octavic_equivalent(f, g):
     """Same as sextic_equivalent for octavics, using the generators J2..J7."""
     if not discriminant(f) or not discriminant(g):
         raise SingularCurveError("octavic equivalence needs nonzero discriminants")
-    inv_f = octavic_invariants(f).moduli_tuple()
-    inv_g = octavic_invariants(g).moduli_tuple()
+    inv_f, _ = _octavic_head(f)
+    inv_g, _ = _octavic_head(g)
     return match_weighted_scale(inv_f, inv_g, OCTAVIC_WEIGHTS[:6], f.field)
 
 
@@ -198,10 +229,10 @@ def multiplicity_profile(f):
     if disc:
         return SEPARABLE
     if f.degree == 6:
-        inv = _sextic_record(f, disc)
-        if not inv.J2 and not inv.J4 and not inv.J6:
+        (J2, J4, J6, _), _ = _sextic_head(f, disc)
+        if not J2 and not J4 and not J6:
             return GE_4
-        if inv.J2 and inv.J4 == 9 * inv.J2**2 and 27 * inv.J6 == inv.J2**3:
+        if J2 and J4 == 9 * J2**2 and 27 * J6 == J2**3:
             return EXACTLY_3
         return OTHER_REPEATED
     inv = octavic_invariants(f)

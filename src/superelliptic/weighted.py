@@ -17,7 +17,7 @@ from math import exp, gcd, log, prod
 from .algebra import GF, GFElement, QQ, discriminant, factorize, match_weighted_scale, valuation
 from .curves import SuperellipticCurve
 from .errors import DomainError, SingularCurveError, UnsupportedCaseError
-from .invariants import OCTAVIC_WEIGHTS, SEXTIC_WEIGHTS, _sextic_record, octavic_invariants
+from .invariants import OCTAVIC_WEIGHTS, SEXTIC_WEIGHTS, _octavic_head, _sextic_head
 
 
 @dataclass(frozen=True)
@@ -146,13 +146,13 @@ def weighted_height(point):
     """Height over Q of the class of the given point."""
     if not all(isinstance(x, (int, Fraction)) for x in point.coords):
         raise DomainError("heights are implemented over Q only")
-    pt = normalize(point)
-    best = None
-    for x, q in zip(pt.coords, pt.weights):
-        cand = WeightedHeight(abs(Fraction(x)), q)
-        if best is None or cand > best:
-            best = cand
-    return best
+    return normalized_height(normalize(point))
+
+
+def normalized_height(pt):
+    """Height of a point that `normalize` returned: max |x_j|^(1/q_j) on
+    its own coordinates, the first of equal maxima."""
+    return max(WeightedHeight(abs(x), q) for x, q in zip(pt.coords, pt.weights))
 
 
 def _field_of(point):
@@ -220,7 +220,7 @@ def moduli_point(curve):
     if not disc:
         raise SingularCurveError("defining binary form has a repeated root")
     if form.degree == 6:
-        return WeightedPoint(_sextic_record(form, disc).tuple(), SEXTIC_WEIGHTS)
+        return WeightedPoint(_sextic_head(form, disc)[0], SEXTIC_WEIGHTS)
     if form.degree == 8:
-        return WeightedPoint(octavic_invariants(form).moduli_tuple(), OCTAVIC_WEIGHTS[:6])
+        return WeightedPoint(_octavic_head(form)[0], OCTAVIC_WEIGHTS[:6])
     raise DomainError("moduli points need deg f in {5, 6, 7, 8}")

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +48,32 @@ def test_gf_rejects_bad_p():
         GF(2)
     with pytest.raises(DomainError):
         GF(15)
+
+
+# psi_k: the least strong pseudoprime to each of the first k prime bases
+PSI_9 = 3825123056546413051            # 149491 * 747451 * 34233211
+PSI_12 = 318665857834031151167461      # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_refuses_the_psi_pseudoprimes():
+    assert not is_prime(PSI_9)
+    assert not is_prime(PSI_12)
+    with pytest.raises(DomainError):
+        GF(PSI_12)
+    # past the proven range True is only probable: PSI_13 passes every
+    # base up to 41, and 43 is its first witness
+    assert is_prime(PSI_13)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    n = 10**5
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for i in range(2, isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytearray(len(range(i * i, n, i)))
+    assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
 
 
 def test_gf_char_error_on_bad_denominator():
