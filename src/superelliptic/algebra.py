@@ -8,7 +8,9 @@ residues instead (plain ints in [0, p) over GF(p), Fractions over QQ) and
 runs on its field's small kernel: reduce and trim, invert, convert to and
 from public scalars.  Its arithmetic is a set of functions on those raw
 vectors (``raw_add`` ... ``raw_xgcd``), one loop per operation, which
-``Poly`` wraps and Cantor's addition calls directly.  A ``BinaryForm``
+``Poly`` wraps and Cantor's addition calls directly.  Over QQ a product
+runs on the cleared integer vectors, and squarefreeness is first decided
+modulo one fixed prime.  A ``BinaryForm``
 holds an integer vector with one denominator (lowest terms over QQ,
 residues with denominator 1 over GF(p)) and builds its public ``coeffs``
 on first read, so the form kernels (transvectant, linear substitution,
@@ -332,12 +334,8 @@ class PrimeField:
     def __init__(self, p):
         if not is_prime(p) or p == 2:
             raise DomainError(f"GF({p}): p must be an odd prime")
-        self.p = p
+        self.p = self.characteristic = p
         self._red = p.__rmod__  # c -> c % p, without a Python frame
-
-    @property
-    def characteristic(self):
-        return self.p
 
     def of(self, v):
         if isinstance(v, GFElement):
@@ -415,6 +413,9 @@ class PrimeField:
 
 QQ = RationalField()
 
+# The prime of Poly.is_squarefree's certificate over QQ
+_CERTIFICATE = PrimeField(2**31 - 1)
+
 
 def GF(p):
     return PrimeField(p)
@@ -424,9 +425,9 @@ def GF(p):
 # dense univariate polynomials
 
 
-def _convolve(a, b, zero):
-    """Schoolbook product of two coefficient sequences, left unreduced."""
-    out = [zero] * (len(a) + len(b) - 1)
+def _convolve(a, b):
+    """Schoolbook product of two sequences of ints, left unreduced."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b, i):
@@ -449,7 +450,14 @@ def raw_sub(field, a, b):
 
 
 def raw_mul(field, a, b):
-    return field._trim(_convolve(a, b, field._zero)) if a and b else ()
+    if not (a and b):
+        return ()
+    if field.characteristic:
+        return field._trim(_convolve(a, b))
+    # over QQ: one product of the cleared integer vectors, then one Fraction
+    # per coefficient; a product of nonzero vectors is already trimmed
+    (a, da), (b, db) = field._ints(a), field._ints(b)
+    return tuple(field._scalars(_convolve(a, b), da * db))
 
 
 def raw_divmod(field, a, b):
@@ -476,6 +484,22 @@ def raw_exact_div(field, a, b):
     if r:
         raise DomainError("division is not exact")
     return q
+
+
+def raw_gcd(field, a, b):
+    """The monic gcd of a and b (zero if both are): Euclid's algorithm,
+    carrying no cofactor."""
+    while b:
+        a, b = b, raw_divmod(field, a, b)[1]
+    return a if not a or a[-1] == 1 else raw_mul(field, a, (field._inv(a[-1]),))
+
+
+def raw_derivative(field, a):
+    return field._trim([i * c for i, c in enumerate(a)][1:])
+
+
+def _squarefree(field, a):
+    return len(raw_gcd(field, a, raw_derivative(field, a))) <= 1
 
 
 def raw_xgcd(field, a, b):
@@ -622,10 +646,7 @@ class Poly:
         return _poly(self.field, raw_mul(self.field, self.raw, (self.field._inv(self.raw[-1]),)))
 
     def gcd(self, other):
-        a, b = self, self._coerce(other)
-        while b.raw:
-            a, b = b, a % b
-        return a.monic()
+        return _poly(self.field, raw_gcd(self.field, self.raw, self._coerce(other).raw))
 
     def xgcd(self, other):
         """(g, s, t) with s*self + t*other = g, g monic (or zero)."""
@@ -633,7 +654,7 @@ class Poly:
         return tuple(_poly(field, c) for c in raw_bezout(field, self.raw, self._coerce(other).raw))
 
     def derivative(self):
-        return _poly(self.field, self.field._trim([i * c for i, c in enumerate(self.raw)][1:]))
+        return _poly(self.field, raw_derivative(self.field, self.raw))
 
     def __call__(self, x):
         field = self.field
@@ -643,7 +664,24 @@ class Poly:
         return field._box(acc)
 
     def is_squarefree(self):
-        return self.gcd(self.derivative()).degree <= 0
+        """Whether no square of a nonconstant polynomial divides self.
+
+        Over QQ a certificate comes first.  Let f be self with its
+        denominators cleared and p = _CERTIFICATE.p.  If p does not divide
+        lc(f) and gcd(f, f') mod p is a constant, f is squarefree: were
+        f = g^2 h with deg g >= 1, Gauss's lemma would give f = c g0^2 h0
+        with g0, h0 primitive in Z[x] and c an integer.  As p does not
+        divide lc(f) = c lc(g0)^2 lc(h0), g0 mod p keeps its degree, and it
+        divides both f mod p and f' mod p.  Only when p divides lc(f), or
+        f mod p has a repeated factor, does Euclid run over QQ, which
+        decides exactly.
+        """
+        field, a = self.field, self.raw
+        if not field.characteristic and a:
+            f = field._ints(a)[0]
+            if f[-1] % _CERTIFICATE.p and _squarefree(_CERTIFICATE, _CERTIFICATE._trim(f)):
+                return True
+        return _squarefree(field, a)
 
     def __repr__(self):
         if self.is_zero:
@@ -826,8 +864,8 @@ class BinaryForm:
     def __mul__(self, other):
         if not isinstance(other, BinaryForm):
             return self.scale(other)
-        return BinaryForm(self.field, self.degree + other.degree,
-                          _convolve(self.coeffs, other.coeffs, self.field.zero))
+        ints, den = self.field._canon(_convolve(self.ints, other.ints), 1, self.den * other.den)
+        return BinaryForm._of_ints(self.field, self.degree + other.degree, ints, den)
 
     def diff_xy(self, i, j):
         """Mixed partial derivative d^(i+j) f / dX^i dY^j, exact."""
@@ -849,12 +887,12 @@ class BinaryForm:
         # powers of aX + bY and cX + dY, coefficient lists by Y-exponent
         pow1, pow2 = [[1]], [[1]]
         for _ in range(d):
-            pow1.append(_convolve(pow1[-1], (a, b), 0))
-            pow2.append(_convolve(pow2[-1], (c, e), 0))
+            pow1.append(_convolve(pow1[-1], (a, b)))
+            pow2.append(_convolve(pow2[-1], (c, e)))
         acc = [0] * (d + 1)
         for i, x in enumerate(self.ints):
             if x:
-                for k, t in enumerate(_convolve(pow1[d - i], pow2[i], 0)):
+                for k, t in enumerate(_convolve(pow1[d - i], pow2[i])):
                     acc[k] += x * t
         ints, den = field._canon(acc, 1, self.den * mden**d)
         return BinaryForm._of_ints(field, d, ints, den)

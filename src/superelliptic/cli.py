@@ -104,6 +104,8 @@ def field_name(field):
 
 
 def scalar_out(x):
+    if type(x) is Fraction:
+        return str(x)
     if isinstance(x, GFElement):
         return str(x.value)
     return str(Fraction(x))

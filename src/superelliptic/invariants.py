@@ -43,11 +43,25 @@ from .errors import DomainError, SingularCurveError, UnsupportedCaseError
 SEXTIC_WEIGHTS = (2, 4, 6, 10)
 OCTAVIC_WEIGHTS = (2, 3, 4, 5, 6, 7, 8, 9, 10)
 
-# J2 = c * A; J4 = x A^2 + y B; J6 = z C  (solved exactly, see module docstring)
-_J2_FROM_A = Fraction(-60)
-_J4_FROM_A2 = Fraction(90000)
-_J4_FROM_B = Fraction(-540000)
-_J6_FROM_C = Fraction(-562500)
+# (c, x, y, z) with J2 = c A, J4 = x A^2 + y B and J6 = z C (solved exactly,
+# see module docstring)
+_SEXTIC_SCALES = (Fraction(-60), Fraction(90000), Fraction(-540000), Fraction(-562500))
+
+# the scale of each octavic Jw on its transvectant, J2..J7 and J8..J10
+_OCTAVIC_HEAD_SCALES = (
+    Fraction(2**2 * 5 * 7), Fraction(2**4 * 5**2 * 7**3, 3), Fraction(2**9 * 3 * 7**4),
+    Fraction(2**9 * 5 * 7**5), Fraction(2**14 * 3**2 * 7**6), Fraction(2**14 * 3 * 5 * 7**7),
+)
+_OCTAVIC_TAIL_SCALES = (
+    Fraction(2**17 * 3 * 5**2 * 7**9), Fraction(2**19 * 3**2 * 5 * 7**9),
+    Fraction(2**22 * 3**2 * 5**2 * 7**11),
+)
+
+
+def _in_field(field, consts):
+    """Rational constants as scalars of field: the Fractions themselves
+    over QQ."""
+    return [field.from_fraction(c) for c in consts] if field.characteristic else consts
 
 
 def _tv(f, g, r):
@@ -116,15 +130,15 @@ def _sextic_check(f, name):
 def _sextic_head(f, J10):
     """The moduli tuple (J2, J4, J6, J10) of the sextic f whose
     discriminant is J10, and the (ff4, A, B, C) it is computed from."""
-    fr = f.field.from_fraction
     ff4 = _tv(f, f, 4)
     A = _tv(f, f, 6)
     B = _tv(ff4, ff4, 4)
     delta = _tv(ff4, ff4, 2)
     C = _tv(ff4, delta, 4)
-    J2 = fr(_J2_FROM_A) * A
-    J4 = fr(_J4_FROM_A2) * A * A + fr(_J4_FROM_B) * B
-    J6 = fr(_J6_FROM_C) * C
+    c, x, y, z = _in_field(f.field, _SEXTIC_SCALES)
+    J2 = c * A
+    J4 = x * A * A + y * B
+    J6 = z * C
     return (J2, J4, J6, J10), (ff4, A, B, C)
 
 
@@ -164,27 +178,27 @@ def _octavic_head(f):
     p = f.field.characteristic
     if p and p <= 7:
         raise UnsupportedCaseError("octavic invariants need characteristic 0 or > 7")
-    fr = f.field.from_fraction
+    c2, c3, c4, c5, c6, c7 = _in_field(f.field, _OCTAVIC_HEAD_SCALES)
     g = _tv(f, f, 4)
     k = _tv(f, f, 6)
     h = _tv(k, k, 2)
     m = _tv(f, k, 4)
-    J2 = fr(Fraction(2**2 * 5 * 7)) * _tv(f, f, 8)
-    J3 = fr(Fraction(2**4 * 5**2 * 7**3, 3)) * _tv(f, g, 8)
-    J4 = fr(Fraction(2**9 * 3 * 7**4)) * _tv(k, k, 4)
-    J5 = fr(Fraction(2**9 * 5 * 7**5)) * _tv(m, k, 4)
-    J6 = fr(Fraction(2**14 * 3**2 * 7**6)) * _tv(k, h, 4)
-    J7 = fr(Fraction(2**14 * 3 * 5 * 7**7)) * _tv(m, h, 4)
+    J2 = c2 * _tv(f, f, 8)
+    J3 = c3 * _tv(f, g, 8)
+    J4 = c4 * _tv(k, k, 4)
+    J5 = c5 * _tv(m, k, 4)
+    J6 = c6 * _tv(k, h, 4)
+    J7 = c7 * _tv(m, h, 4)
     return (J2, J3, J4, J5, J6, J7), (g, k, h)
 
 
 def octavic_invariants(f):
     """The scaled transvectant invariants J2..J10 of a binary octavic."""
     head, (g, k, h) = _octavic_head(f)
-    fr = f.field.from_fraction
-    J8 = fr(Fraction(2**17 * 3 * 5**2 * 7**9)) * _tv(_tv(g, k, 4), h, 4)
-    J9 = fr(Fraction(2**19 * 3**2 * 5 * 7**9)) * _tv(_tv(f, h, 4), h, 4)
-    J10 = fr(Fraction(2**22 * 3**2 * 5**2 * 7**11)) * _tv(_tv(g, h, 4), h, 4)
+    c8, c9, c10 = _in_field(f.field, _OCTAVIC_TAIL_SCALES)
+    J8 = c8 * _tv(_tv(g, k, 4), h, 4)
+    J9 = c9 * _tv(_tv(f, h, 4), h, 4)
+    J10 = c10 * _tv(_tv(g, h, 4), h, 4)
     return OctavicInvariants(*head, J8, J9, J10)
 
 

@@ -252,6 +252,123 @@ def test_poly_gf_matches_boxed_oracle(case):
     assert (a % g).is_zero and (b % g).is_zero
 
 
+# squarefreeness over QQ against Euclid on Fraction lists, and the raw
+# kernels it runs on
+
+CERT_P = algebra._CERTIFICATE.p
+rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+def _trim_list(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _fraction_mul(a, b):
+    """Schoolbook product of two Fraction lists."""
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim_list(out)
+
+
+def _euclid_squarefree(coeffs):
+    """Oracle: deg gcd(f, f') <= 0, by Euclid's algorithm on Fractions."""
+    a = _trim_list([Fraction(c) for c in coeffs])
+    b = _trim_list([i * c for i, c in enumerate(a)][1:])
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            c = r[-1] / b[-1]
+            for i, y in enumerate(b, len(r) - len(b)):
+                r[i] -= c * y
+            _trim_list(r)
+        a, b = b, r
+    return len(a) <= 1
+
+
+def _decide(coeffs):
+    """(is_squarefree, the fields whose Euclid ran) for f over QQ."""
+    fields = []
+    inner = algebra._squarefree
+
+    def spy(field, a):
+        fields.append(field)
+        return inner(field, a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_squarefree", spy)
+        return Poly(QQ, coeffs).is_squarefree(), fields
+
+
+@given(st.lists(rationals, max_size=9))
+@settings(max_examples=200, deadline=None)
+def test_squarefree_matches_euclid_random(coeffs):
+    got, fields = _decide(coeffs)
+    assert got == _euclid_squarefree(coeffs)
+    if any(coeffs):  # p does not divide these lc: the certificate runs first
+        assert fields[0] == algebra._CERTIFICATE and fields[1:] in ([], [QQ])
+
+
+@given(st.lists(rationals, min_size=2, max_size=4).filter(lambda g: g[-1]),
+       st.lists(rationals, min_size=1, max_size=5).filter(lambda h: h[-1]))
+@settings(max_examples=100, deadline=None)
+def test_squarefree_refuses_forced_repeats(g, h):
+    f = _fraction_mul(_fraction_mul(g, g), h)
+    got, fields = _decide(f)
+    assert got is False and _euclid_squarefree(f) is False
+    assert fields[-1] == QQ  # a repeated factor survives mod p: Euclid decides
+
+
+@given(st.lists(rationals, max_size=7), st.integers(-3, 3).filter(bool),
+       st.integers(1, 5), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_squarefree_when_p_divides_the_leading_coefficient(low, k, den, repeat):
+    f = low + [Fraction(k * CERT_P, den)]
+    if repeat:
+        f = _fraction_mul(f, [Fraction(1), Fraction(2), Fraction(1)])  # (x + 1)^2
+    got, fields = _decide(f)
+    assert got == _euclid_squarefree(f)
+    if len(f) > 1:
+        assert fields == [QQ]  # no certificate: p divides lc
+
+
+@given(st.integers(-10**6, 10**6), st.lists(rationals, min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_squarefree_when_the_reduction_has_a_repeated_root(a, h):
+    # (x - a)(x - a - p) h: squarefree over QQ for most h, a double root mod p
+    h = _trim_list(list(h)) or [Fraction(1)]
+    f = _fraction_mul(_fraction_mul([Fraction(-a), Fraction(1)],
+                                    [Fraction(-a - CERT_P), Fraction(1)]), h)
+    got, fields = _decide(f)
+    assert got == _euclid_squarefree(f)
+    assert fields[-1] == QQ  # the certificate saw a common factor: fallback
+
+
+@given(gf_polys())
+@settings(max_examples=150, deadline=None)
+def test_raw_gcd_is_raw_xgcd_g(case):
+    F, acoeffs, bcoeffs = case
+    a, b = Poly(F, acoeffs).raw, Poly(F, bcoeffs).raw
+    g = algebra.raw_gcd(F, a, b)
+    assert g == algebra.raw_xgcd(F, a, b)[0]
+    if g:
+        assert g[-1] == 1
+        assert not algebra.raw_divmod(F, a, g)[1] and not algebra.raw_divmod(F, b, g)[1]
+
+
+@given(st.lists(rationals, max_size=8), st.lists(rationals, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_raw_mul_over_q_is_the_fraction_product(acoeffs, bcoeffs):
+    a, b = Poly(QQ, acoeffs), Poly(QQ, bcoeffs)
+    want = tuple(_fraction_mul(list(a.raw), list(b.raw)))
+    got = algebra.raw_mul(QQ, a.raw, b.raw)
+    assert got == want
+    assert all(type(c) is Fraction for c in got)
+
+
 def test_poly_eval_and_derivative():
     p = Poly(QQ, [1, -2, 0, 1])  # x^3 - 2x + 1
     assert p(2) == 5

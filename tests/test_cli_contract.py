@@ -33,7 +33,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 def _pinned(name="pinned_cli.jsonl"):
     with open(os.path.join(DATA, name)) as fh:
-        return [json.loads(line) for line in fh]
+        return [json.loads(line) for line in fh if not line.startswith("#")]
 
 
 def _call(argv, batch=None, tmp=None):
