@@ -87,7 +87,6 @@ from .theta import (
     HalfIntChar,
     branch_characteristic,
     gopel_count,
-    gopel_groups,
     parity,
     parity_census,
     syzygetic,

@@ -461,12 +461,6 @@ def split_jacobian(n, m, delta):
     return SplitResult(decomposes=(lhs == rhs), lhs=lhs, rhs=rhs)
 
 
-def quotient_genus_triple(n, m, delta):
-    """(g, g1, g2) of the covered curve and its two quotients."""
-    return (genus_formula(n, delta * m), genus_formula(n, delta),
-            genus_formula(n, delta + 1))
-
-
 def quotient_equations(curve):
     """The quotient curves y^n = g(u) and y^n = u g(u) when f(x) = g(x^m).
 

@@ -386,8 +386,7 @@ def cmd_jac_order(p):
 @command("theta-census", "g:int")
 def cmd_theta_census(p):
     g = p["g"]
-    vanishing = theta.vanishing_count_formula(g)  # refuses g < 1 first
-    even, odd = theta.parity_census(g)
+    even, odd, vanishing = theta.thetanull_census(g)  # refuses g < 1 first
     return {
         "even": even, "odd": odd, "vanishing_even": vanishing,
         "vanishing_sets": ([list(t) for t in theta.vanishing_even_thetanulls(g)]

@@ -23,7 +23,6 @@ from superelliptic.atlas import (
     HURWITZ_FACTOR,
     aut_lookup,
     branch_weight,
-    quotient_genus_triple,
     split_jacobian,
     weierstrass_gap_basis,
 )
@@ -48,7 +47,6 @@ from superelliptic.jacobian import (
 from superelliptic.minimal import EllipticModel, is_minimal_tuple, laska_reduce, superelliptic_minimal
 from superelliptic.theta import (
     gopel_count,
-    gopel_groups,
     parity_census,
     vanishing_count_formula,
     vanishing_even_thetanulls,
@@ -63,6 +61,7 @@ from superelliptic.weighted import (
 )
 
 from conftest import form_from_roots, rand_form, rand_matrix
+from oracles import gopel_groups, quotient_genus_triple
 
 
 class Budget:

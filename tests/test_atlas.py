@@ -11,7 +11,6 @@ from superelliptic.atlas import (
     family_equation,
     genus,
     quotient_equations,
-    quotient_genus_triple,
     split_jacobian,
     weierstrass_gap_basis,
     GENUS3_GROUP_IDS_CHAR0,
@@ -23,6 +22,8 @@ from superelliptic.errors import (
     SingularCurveError,
     UnsupportedCaseError,
 )
+
+from oracles import quotient_genus_triple
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,11 @@ import pytest
 from superelliptic.errors import DomainError, UnsupportedCaseError
 from superelliptic.theta import (
     MAX_DIGITS,
+    MAX_THETANULL_GENUS,
     HalfIntChar,
-    all_characteristics,
     branch_characteristic,
     branch_index_set,
     gopel_count,
-    gopel_groups,
     odd_branch_indices,
     pairing,
     parity,
@@ -22,6 +21,12 @@ from superelliptic.theta import (
     triple_syzygetic,
     vanishing_count_formula,
     vanishing_even_thetanulls,
+)
+
+from oracles import (
+    all_characteristics,
+    gopel_groups,
+    vanishing_even_thetanulls_by_characteristics,
 )
 
 
@@ -166,18 +171,30 @@ def test_vanishing_examples():
     assert set(T) == set(odd_branch_indices(3))
 
 
-def test_nonvanishing_criterion_replay():
-    g = 3
+@pytest.mark.parametrize("g", range(1, 8))
+def test_vanishing_list_matches_characteristic_oracle(g):
+    assert vanishing_even_thetanulls(g) == vanishing_even_thetanulls_by_characteristics(g)
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_parity_from_subset_size(g):
+    # eta_T is even iff #(T symdiff U) = g + 1 (mod 4), over every even T
     U = set(odd_branch_indices(g))
     for size in range(0, 2 * g + 2, 2):
         for T in itertools.combinations(branch_index_set(g), size):
-            c = branch_characteristic(g, T)
-            if parity(c) == 1 and len(set(T) ^ U) == g + 1:
-                # nonvanishing even characteristic: criterion holds by definition
-                assert len(set(T) ^ U) == g + 1
-            if len(set(T) ^ U) == g + 1:
-                # criterion consistency: all such T carry even characteristics
-                assert parity(c) == 1
+            k = len(set(T) ^ U)
+            assert (parity(branch_characteristic(g, T)) == 1) == (k % 4 == (g + 1) % 4), T
+
+
+def test_vanishing_listing_refused_past_its_cap():
+    g = MAX_THETANULL_GENUS
+    assert len(vanishing_even_thetanulls(g)) == vanishing_count_formula(g)
+    with pytest.raises(UnsupportedCaseError, match=f"walks 2\\^{2 * g + 2} subsets"):
+        vanishing_even_thetanulls(g + 1)
+    with pytest.raises(UnsupportedCaseError, match="supported up to g = "):
+        vanishing_even_thetanulls(2**70)
+    with pytest.raises(DomainError, match="need g >= 1"):
+        vanishing_even_thetanulls(0)
 
 
 # ---------------------------------------------------------------------------
