@@ -16,6 +16,10 @@ line becomes an error object and never aborts the batch.  A batch checks a
 field and a curve once per run of lines naming them: each `main` call
 keeps the last GF(p) it built and the last curve that passed
 `HyperCurve`'s checks, and starts with neither.
+
+At module level this file imports only the scalars and errors every
+command needs; each handler imports the library modules it runs, so a
+one-shot call loads (and compiles) only those.
 """
 
 import argparse
@@ -23,9 +27,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import atlas, invariants, jacobian, minimal, theta, weighted
 from .algebra import GF, QQ, GFElement, Poly
-from .curves import SuperellipticCurve
 from .errors import DomainError, ParseError
 
 EXIT_OK = 0
@@ -148,8 +150,9 @@ def parse_curve(doc):
         f = poly_in(field, doc["f"])
     except KeyError as e:
         raise ParseError(f"curve document missing key {e}")
+    from . import curves
     try:
-        return SuperellipticCurve(n, f)
+        return curves.SuperellipticCurve(n, f)
     except DomainError as e:
         raise ParseError(str(e))
 
@@ -167,6 +170,7 @@ def parse_hyper(doc):
         h = poly_in(field, doc.get("h", []))
     except KeyError as e:
         raise ParseError(f"curve document missing key {e}")
+    from . import jacobian
     # keyed on parsed values, not JSON ones: [1] == [True]
     return _reuse("curve", (field, f.raw, h.raw), lambda: jacobian.HyperCurve(f, h))
 
@@ -179,6 +183,7 @@ def parse_point(doc):
         ws = [int_in(w, "weights") for w in list_in(doc["weights"], "weights")]
     except KeyError as e:
         raise ParseError(f"point document missing key {e}")
+    from . import weighted
     try:
         return weighted.WeightedPoint.of(coords, ws)
     except DomainError as e:
@@ -191,10 +196,6 @@ def point_out(pt):
 
 def height_out(h):
     return {"radicand": scalar_out(h.radicand), "root": h.root, "approx": h.approx()}
-
-
-def divisor_in(C, u, v):
-    return jacobian.mumford_validate(poly_in(C.field, u), poly_in(C.field, v), C)
 
 
 def divisor_out(d):
@@ -223,11 +224,13 @@ def command(name, spec):
 
 @command("genus", "n:int d:int")
 def cmd_genus(p):
+    from . import atlas
     return {"g": atlas.genus(p["n"], p["d"])}
 
 
 @command("gap-basis", "n:int d:int q:int")
 def cmd_gap_basis(p):
+    from . import atlas
     basis = atlas.weierstrass_gap_basis(p["n"], p["d"], p["q"])
     return {"S": sorted([list(ab) for ab in basis.S]), "d_q": basis.d_q,
             "weight": atlas.branch_weight(p["n"], p["d"], p["q"])}
@@ -235,6 +238,7 @@ def cmd_gap_basis(p):
 
 @command("invariants", "curve:doc")
 def cmd_invariants(p):
+    from . import invariants
     curve = parse_curve(p["curve"])
     if curve.n != 2:
         raise DomainError("invariants are implemented for n = 2")
@@ -252,6 +256,7 @@ def cmd_invariants(p):
 
 @command("equivalent", "curve1:doc curve2:doc")
 def cmd_equivalent(p):
+    from . import invariants
     f1 = parse_curve(p["curve1"]).binary_form()
     f2 = parse_curve(p["curve2"]).binary_form()
     if f1.degree != f2.degree:
@@ -268,6 +273,7 @@ def cmd_equivalent(p):
 
 @command("moduli-point", "curve:doc")
 def cmd_moduli_point(p):
+    from . import weighted
     pt = weighted.moduli_point(parse_curve(p["curve"]))
     out = point_out(pt)
     if pt.coords and isinstance(pt.coords[0], (int, Fraction)):
@@ -277,6 +283,7 @@ def cmd_moduli_point(p):
 
 @command("height", "point:doc")
 def cmd_height(p):
+    from . import weighted
     pt = weighted.normalize(parse_point(p["point"]))
     return {"height": height_out(weighted.normalized_height(pt)),
             "normalized": point_out(pt)}
@@ -284,11 +291,13 @@ def cmd_height(p):
 
 @command("wgcd", "point:doc")
 def cmd_wgcd(p):
+    from . import weighted
     return {"wgcd": weighted.wgcd(parse_point(p["point"]))}
 
 
 @command("minimal", "curve:doc")
 def cmd_minimal(p):
+    from . import minimal
     rep = minimal.superelliptic_minimal(parse_curve(p["curve"]))
     return {
         "curve": curve_out(rep.curve),
@@ -306,6 +315,7 @@ def cmd_minimal(p):
 
 @command("laska", "model:list")
 def cmd_laska(p):
+    from . import minimal
     if len(p["model"]) != 5:
         raise ParseError("model must be [a1, a2, a3, a4, a6]")
     rep = minimal.laska_reduce(
@@ -322,6 +332,7 @@ def cmd_laska(p):
 @command("aut-lookup",
          "g:int n:int? m:int? reduced_group:str? dimension:int? case:int?")
 def cmd_aut_lookup(p):
+    from . import atlas
     recs = atlas.aut_lookup(
         p["g"], n=p["n"], m=p["m"], reduced_group=p["reduced_group"],
         dimension=p["dimension"], case=p["case"],
@@ -339,6 +350,7 @@ def cmd_aut_lookup(p):
 
 @command("family-eq", "case:int n:int m:int? params:list?")
 def cmd_family_eq(p):
+    from . import atlas
     curve = atlas.family_equation(
         p["case"], p["n"], [scalar_in(QQ, c) for c in p["params"] or []], m=p["m"],
     )
@@ -347,14 +359,17 @@ def cmd_family_eq(p):
 
 @command("split", "n:int m:int delta:int")
 def cmd_split(p):
+    from . import atlas
     res = atlas.split_jacobian(p["n"], p["m"], p["delta"])
     return {"decomposes": res.decomposes, "lhs": res.lhs, "rhs": res.rhs}
 
 
 @command("jac-validate", "curve:doc u:doc v:doc")
 def cmd_jac_validate(p):
+    from . import jacobian
+    C = parse_hyper(p["curve"])
     try:
-        d = divisor_in(parse_hyper(p["curve"]), p["u"], p["v"])
+        d = jacobian.mumford_validate(poly_in(C.field, p["u"]), poly_in(C.field, p["v"]), C)
     except jacobian.MumfordError as e:
         return {"valid": False, "condition": e.condition, "message": str(e)}
     return {"valid": True, "divisor": divisor_out(d)}
@@ -362,12 +377,14 @@ def cmd_jac_validate(p):
 
 @command("jac-add", "curve:doc d1:doc d2:doc method:str?")
 def cmd_jac_add(p):
+    from . import jacobian
     C = parse_hyper(p["curve"])
 
     def parse_div(doc):
         if not (isinstance(doc, dict) and "u" in doc and "v" in doc):
             raise ParseError('divisor document must be an object with "u" and "v"')
-        return divisor_in(C, doc["u"], doc["v"])
+        return jacobian.mumford_validate(
+            poly_in(C.field, doc["u"]), poly_in(C.field, doc["v"]), C)
 
     D1, D2 = parse_div(p["d1"]), parse_div(p["d2"])
     if p["method"] == "interpolation":
@@ -378,6 +395,7 @@ def cmd_jac_add(p):
 
 @command("jac-order", "curve:doc")
 def cmd_jac_order(p):
+    from . import jacobian
     data = jacobian.weil_data_g2(parse_hyper(p["curve"]))
     return {"order": data.order, "N1": data.n1, "N2": data.n2,
             "a": data.a, "b": data.b, "q": data.q}
@@ -385,6 +403,7 @@ def cmd_jac_order(p):
 
 @command("theta-census", "g:int")
 def cmd_theta_census(p):
+    from . import theta
     g = p["g"]
     even, odd, vanishing = theta.thetanull_census(g)  # refuses g < 1 first
     return {
@@ -396,6 +415,7 @@ def cmd_theta_census(p):
 
 @command("gopel", "g:int r:int")
 def cmd_gopel(p):
+    from . import theta
     return {"count": theta.gopel_count(p["g"], p["r"])}
 
 
@@ -460,6 +480,7 @@ def _run(command, flags, fmt, line=None):
     except ValueError as e:  # an int past CPython's int-to-str digit limit
         if "integer string conversion" not in str(e):
             raise
+        from . import theta
         msg = f"a result has more than {theta.MAX_DIGITS} digits and is not printed"
         return EXIT_DOMAIN, _dumps(_error_obj("domain", msg), fmt)
 
