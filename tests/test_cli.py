@@ -199,6 +199,15 @@ def test_jac_order_refuses_large_p():
     assert "4000012 table and recurrence steps" in out["error"]["message"]
 
 
+def test_gap_basis_refuses_past_its_cap():
+    # d_q = (g - 1)(2q - 1) = 19999999 at genus 2: refused before any work
+    code, out = run_one(["gap-basis", "--n", "2", "--d", "5", "--q", "10000000"])
+    assert code == EXIT_DOMAIN
+    assert out == {"error": {"kind": "domain", "message":
+                             "the gap basis at (n, d, q) = (2, 5, 10000000) has "
+                             "d_q = 19999999 pairs; supported up to 250000"}}
+
+
 def test_theta_census():
     code, out = run_one(["theta-census", "--g", "2"])
     assert out["even"] == 10 and out["odd"] == 6 and out["vanishing_even"] == 0
