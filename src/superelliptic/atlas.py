@@ -307,7 +307,26 @@ def _prod(polys, field=QQ):
     return acc
 
 
-_A4_GROUND = {12: "x^12 - 33 x^8 - 33 x^4 + 1"}
+# Largest degree D of a family equation.  The product and the squarefree
+# test cost about D^2 operations on coefficients that grow with delta, so
+# rows 4-9 at m = 1 (delta = D/2) are the slowest: with parameters 100,
+# 101, ... `family-eq` takes 2.1-2.6 s and 24 MB peak RSS at D = 1500 on
+# them, 0.1 s on row 24, CPython 3.11 on one core of an Intel Xeon.
+# Repeated parameters send that test to Euclid over Q, which it does not bound.
+MAX_FAMILY_DEGREE = 1500
+
+
+def _family_degree(case, m, delta):
+    """Degree of row `case`'s equation: delta parameter factors and an extra."""
+    if case <= 3:
+        return m * (delta + 1) + (case == 3)
+    if case <= 9:
+        return 2 * m * delta + (0, m, 1, 2 * m, m + 1, 2 * m + 1)[case - 4]
+    if case <= 15:  # rows 11 and 14 are refused before
+        return 12 * delta + (0, 0, 8, 5, 0, 13)[case - 10]
+    if case <= 23:
+        return 24 * delta + (0, 8, 5, 13, 12, 20, 17, 25)[case - 16]
+    return 60 * delta + (0, 11, 31, 20, 30, 41, 50, 61)[case - 24]
 
 
 def family_equation(case, n, params, m=None):
@@ -315,7 +334,8 @@ def family_equation(case, n, params, m=None):
 
     params supplies the lambda_i (or a_i for the cyclic rows); its length
     is the moduli dimension delta.  Characteristic 0 only; rows 32-45 are
-    positive-characteristic families and are rejected.
+    positive-characteristic families and are rejected, and so is a degree
+    past MAX_FAMILY_DEGREE, before any product.
     """
     if not 1 <= case <= 45:
         raise DomainError("case must be in 1..45")
@@ -327,20 +347,25 @@ def family_equation(case, n, params, m=None):
     delta = len(params)
     if case <= 9 and (m is None or m < 1):
         raise DomainError("cases 1..9 need the cyclic order m >= 1")
+    if case in (11, 14):
+        raise UnsupportedCaseError(
+            "rows 11 and 14 need sqrt(-3); not constructible over Q"
+        )
+    degree = _family_degree(case, m, delta)
+    if degree > MAX_FAMILY_DEGREE:
+        raise UnsupportedCaseError(
+            f"the equation of family row {case} has degree {degree}; "
+            f"supported up to {MAX_FAMILY_DEGREE}")
     x = Poly.x(QQ)
     one = Poly.one(QQ)
     if case in (1, 2, 3):
         # g(u) = u^(delta+1) + a1 u^delta + ... + a_delta u + 1
-        g_inner = _poly(
-            {delta + 1: 1, 0: 1, **{delta - i: params[i] for i in range(delta)}}
-        )
+        g_inner = _poly({delta + 1: 1, 0: 1, **{delta - i: params[i] for i in range(delta)}})
         f = _x_power_shift(g_inner, m)
         if case == 3:
             f = x * f
     elif case <= 9:
-        F = _prod(
-            _poly({2 * m: 1, m: lam, 0: 1}) for lam in params
-        ) if delta else one
+        F = _prod(_poly({2 * m: 1, m: lam, 0: 1}) for lam in params)
         extra = {
             4: one,
             5: _poly({m: 1, 0: -1}),
@@ -351,24 +376,15 @@ def family_equation(case, n, params, m=None):
         }[case]
         f = extra * F
     elif case <= 15:
-        G = _prod(
-            _poly({12: 1, 10: -lam, 8: -33, 6: 2 * lam, 4: -33, 2: -lam, 0: 1})
-            for lam in params
-        ) if delta else one
-        if case in (11, 14):
-            raise UnsupportedCaseError(
-                "rows 11 and 14 need sqrt(-3); not constructible over Q"
-            )
+        G = _prod(_poly({12: 1, 10: -lam, 8: -33, 6: 2 * lam, 4: -33, 2: -lam, 0: 1})
+                  for lam in params)
         v = x * _poly({4: 1, 0: -1})
         u2 = _poly({8: 1, 4: 14, 0: 1})
         extra = {10: one, 12: u2, 13: v, 15: v * u2}[case]
         f = extra * G
     elif case <= 23:
-        M = _prod(
-            _poly({24: 1, 20: lam, 16: 759 - 4 * lam, 12: 2 * (3 * lam + 1228),
-                   8: 759 - 4 * lam, 4: lam, 0: 1})
-            for lam in params
-        ) if delta else one
+        M = _prod(_poly({24: 1, 20: lam, 16: 759 - 4 * lam, 12: 2 * (3 * lam + 1228),
+                         8: 759 - 4 * lam, 4: lam, 0: 1}) for lam in params)
         e1 = _poly({8: 1, 4: 14, 0: 1})
         e2 = x * _poly({4: 1, 0: -1})
         e3 = _poly({12: 1, 8: -33, 4: -33, 0: 1})
@@ -385,8 +401,7 @@ def family_equation(case, n, params, m=None):
                    25: 69585 * lam - 130689144, 20: -(13090 * lam + 77460495),
                    15: -(12527460 - 1205 * lam), 10: -(157434 + 55 * lam),
                    5: lam - 684, 0: -1})
-            for lam in params
-        ) if delta else one
+            for lam in params)
         w1 = x * _poly({10: 1, 5: 11, 0: -1})
         w2 = _poly({20: 1, 15: -228, 10: 494, 5: 228, 0: 1})
         w3 = _poly({30: 1, 25: 522, 20: -10005, 10: -10005, 5: -522, 0: 1})

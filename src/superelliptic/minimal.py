@@ -12,17 +12,24 @@ coordinate change (u, r, s, t) replays integrally on every coefficient.
 The superelliptic reduction divides the invariant tuple by its weighted
 gcd with respect to the weights (d/2) q_i, realizing the division on the
 equation by exact coordinate scalings x -> p^b x or y -> p^b y of the
-binary form.
+binary form sum c_i X^(d-i) Y^i.  For a prime p of exponent alpha in
+that gcd, with bx = min floor(v_p(c_i) / i) over i >= 1 and by = min
+floor(v_p(c_i) / (d - i)) over i < d, both over c_i != 0, a step divides
+out beta = min(alpha, max(bx, by)): c_i by p^(beta i) when bx >= beta,
+else by p^(beta (d - i)).  Steps repeat on alpha - beta; a prime left
+when beta = 0 is offending.  The product lambda of the p^beta scales the
+form by 1 / lambda^d, and as J_q has degree q in the coefficients, the
+output moduli point is the star action of 1 / lambda^(d/2) on the input.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .algebra import BinaryForm, QQ, factorize, valuation
+from .algebra import BinaryForm, Poly, QQ, factorize, valuation
 from .curves import SuperellipticCurve
 from .errors import DomainError, SingularCurveError, UnsupportedCaseError
-from .weighted import WeightedPoint, moduli_point, wgcd
+from .weighted import WeightedPoint, _exponents, moduli_point, star_act
 
 # ---------------------------------------------------------------------------
 # elliptic curves
@@ -59,12 +66,8 @@ class EllipticModel:
 
 def c4c6(model):
     """Step-1 quantities c4 and c6 of an integral model."""
-    a1, a2, a3, a4, a6 = model.ainvs()
-    b2 = a1 * a1 + 4 * a2
-    t = a1 * a3 + 2 * a4
-    c4 = b2 * b2 - 24 * t
-    c6 = -(b2**3) + 36 * b2 * t - 216 * (a3 * a3 + 4 * a6)
-    return c4, c6
+    b2, b4, b6, _ = model.b_invariants()
+    return b2 * b2 - 24 * b4, -(b2**3) + 36 * b2 * b4 - 216 * b6
 
 
 def _transformed(model, u, r, s, t):
@@ -162,31 +165,11 @@ def _minimal_weights(weights, d):
 
 def is_minimal_tuple(point, d):
     """(minimal?, offending primes) for the valuation criterion
-    val_p(x_i) < (d/2) q_i; minimal means no prime divides the tuple in
-    the weighted sense.
-    """
-    thresholds = _minimal_weights(point.weights, d)
-    if any(Fraction(x).denominator != 1 for x in point.coords):
+    val_p(x_i) < (d/2) q_i: the primes whose weighted exponent is positive."""
+    if any(x.denominator != 1 for x in point.coords):
         raise DomainError("minimality needs an integral tuple")
-    g = wgcd(point, weights=thresholds)
-    if g == 1:
-        return True, ()
-    return False, tuple(sorted(factorize(g)))
-
-
-def _rescale_form(form, p, beta, direction):
-    """Divide the invariant tuple by p^((d/2) q_i) via an exact coordinate
-    scaling; direction 'x' divides coefficient of X^(d-i) Y^i by p^(b i),
-    direction 'y' by p^(b (d-i)).  Returns None when not integral."""
-    d = form.degree
-    out = []
-    for i, c in enumerate(form.coeffs):
-        e = beta * (i if direction == "x" else d - i)
-        c = Fraction(c) / Fraction(p) ** e
-        if c.denominator != 1:
-            return None
-        out.append(c)
-    return BinaryForm(form.field, d, out)
+    offending = tuple(_exponents(point.coords, _minimal_weights(point.weights, d)))
+    return not offending, offending
 
 
 def superelliptic_minimal(curve):
@@ -199,48 +182,37 @@ def superelliptic_minimal(curve):
         raise DomainError("minimal models need an integral model over Q")
     point = moduli_point(curve)  # also rejects singular curves
     d = curve.form_degree()
-    thresholds = _minimal_weights(point.weights, d)
-    target = wgcd(point, weights=thresholds)
-    form = curve.binary_form()
-    lam = 1
-    x_factor, y_factor, scale = Fraction(1), Fraction(1), Fraction(1)
-    if target > 1:
-        for p, alpha in sorted(factorize(target).items()):
-            remaining = alpha
-            while remaining > 0:
-                hit = None
-                for beta in range(remaining, 0, -1):
-                    for direction in ("x", "y"):
-                        cand = _rescale_form(form, p, beta, direction)
-                        if cand is not None:
-                            hit = (cand, beta, direction)
-                            break
-                    if hit:
-                        break
-                if hit is None:
-                    break
-                form, beta, direction = hit
-                remaining -= beta
-                lam *= p**beta
-                if direction == "x":
-                    x_factor *= Fraction(p) ** beta
-                else:
-                    y_factor *= Fraction(p) ** beta
-                scale /= Fraction(p) ** (beta * d)
-    new_curve = SuperellipticCurve(curve.n, form.to_poly())
-    point_out = moduli_point(new_curve) if lam > 1 else point  # lam = 1: the same form
-    minimal, offending = is_minimal_tuple(point_out, d)
+    cs = curve.binary_form().ints  # an integral form: den = 1
+    lam, x_factor, y_factor, offending = 1, 1, 1, []
+    for p, alpha in _exponents(point.coords, _minimal_weights(point.weights, d)).items():
+        while alpha:
+            vals = [(i, valuation(c, p)) for i, c in enumerate(cs) if c]
+            bx = min(v // i for i, v in vals if i)
+            by = min(v // (d - i) for i, v in vals if i < d)
+            beta = min(alpha, max(bx, by))
+            if not beta:
+                offending.append(p)
+                break
+            step = p**beta
+            if bx >= beta:
+                cs = [c // step**i for i, c in enumerate(cs)]
+                x_factor *= step
+            else:
+                cs = [c // step ** (d - i) for i, c in enumerate(cs)]
+                y_factor *= step
+            lam *= step
+            alpha -= beta
     return SuperellipticMinimalReport(
-        curve=new_curve,
+        curve=SuperellipticCurve(curve.n, Poly(QQ, reversed(cs))),
         lam=lam,
-        x_factor=x_factor,
-        y_factor=y_factor,
-        form_scale=scale,
+        x_factor=Fraction(x_factor),
+        y_factor=Fraction(y_factor),
+        form_scale=Fraction(1, lam**d),
         is_twist=(d % curve.n != 0),
         point_in=point,
-        point_out=point_out,
-        fully_minimal=minimal,
-        offending=offending,
+        point_out=star_act(Fraction(1, lam ** (d // 2)), point) if lam > 1 else point,
+        fully_minimal=not offending,
+        offending=tuple(offending),
     )
 
 

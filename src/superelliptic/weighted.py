@@ -2,17 +2,20 @@
 heights over Q, bounded-height enumeration, and the map sending a curve
 to its weighted moduli point.
 
-Heights follow the normalize-first convention: clear denominators
-minimally with the star action, divide out the weighted gcd, then take
-max |x_j|^(1/q_j).  Height comparisons cross-power instead of going
-through floats.
+One exponent rule serves normalize, wgcd and minimal models: a point
+(x_i) with weights (q_i) gives each prime p the exponent e_p = min_i
+floor(v_p(x_i) / q_i) over its nonzero coordinates.  The weighted gcd is
+the product of p^e_p over e_p > 0, and the star action by the product of
+all p^(-e_p) clears the denominators minimally and divides it out.
+Heights are max |x_j|^(1/q_j) on that representative, compared by
+cross-powering instead of through floats.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from itertools import product
-from math import exp, gcd, log, prod
+from math import exp, gcd, lcm, log, prod
 
 from .algebra import GF, GFElement, QQ, discriminant, factorize, match_weighted_scale, valuation
 from .curves import SuperellipticCurve
@@ -48,58 +51,42 @@ def star_act(lam, point):
     )
 
 
-def _integer_coords(point):
-    out = []
-    for x in point.coords:
-        x = Fraction(x)
-        if x.denominator != 1:
-            raise DomainError("weighted gcd needs integer coordinates")
-        out.append(x.numerator)
+def _exponents(coords, weights):
+    """{p: e_p} in increasing p for each p with e_p = min floor(v_p(x_i) / q_i)
+    over the nonzero x_i not 0: the primes of the gcd of the numerators
+    (e_p > 0) and of the lcm of the denominators (e_p < 0)."""
+    terms = [(x.numerator, x.denominator, q) for x, q in zip(coords, weights) if x]
+    g = gcd(*[n for n, _, _ in terms])
+    den = lcm(*[m for _, m, _ in terms])
+    out = {}
+    for p in sorted({**factorize(g), **factorize(den)}):
+        e = min((valuation(n, p) - valuation(m, p)) // q for n, m, q in terms)
+        if e:
+            out[p] = e
     return out
 
 
 def wgcd(point, weights=None):
     """Largest positive integer m with m^q_i | x_i for every coordinate."""
-    xs = _integer_coords(point)
+    if any(x.denominator != 1 for x in point.coords):
+        raise DomainError("weighted gcd needs integer coordinates")
     ws = weights if weights is not None else point.weights
-    if len(ws) != len(xs):
+    if len(ws) != len(point.coords):
         raise DomainError("weight tuple length mismatch")
-    nonzero = [(abs(x), q) for x, q in zip(xs, ws) if x]
-    g0 = 0
-    for x, _ in nonzero:
-        g0 = gcd(g0, x)
-    if g0 <= 1:
-        return 1
-    out = 1
-    for p in factorize(g0):
-        e = min(valuation(x, p) // q for x, q in nonzero)
-        out *= p**e
-    return out
+    return prod(p**e for p, e in _exponents(point.coords, ws).items())
 
 
 def normalize(point):
     """Canonical integral representative: wgcd 1, first odd-weight
     coordinate that is nonzero made positive."""
-    need = {}
+    exps = _exponents(point.coords, point.weights)
+    lam = prod((Fraction(p) ** -e for p, e in exps.items()), start=Fraction(1))
     for x, q in zip(point.coords, point.weights):
-        den = Fraction(x).denominator
-        if den == 1:
-            continue
-        for p, e in factorize(den).items():
-            need[p] = max(need.get(p, 0), -((-e) // q))  # ceil(e / q)
-    lam = Fraction(1)
-    for p, e in need.items():
-        lam *= Fraction(p) ** e
-    pt = star_act(lam, point) if lam != 1 else point
-    g = wgcd(pt)
-    if g > 1:
-        pt = star_act(Fraction(1, g), pt)
-    for x, q in zip(pt.coords, pt.weights):
         if x and q % 2 == 1:
             if x < 0:
-                pt = star_act(Fraction(-1), pt)
+                lam = -lam
             break
-    return WeightedPoint(tuple(Fraction(x) for x in pt.coords), pt.weights)
+    return star_act(lam, point)
 
 
 @total_ordering

@@ -1,9 +1,15 @@
 """Brute-force oracles that the tests compare the library's closed forms
-and criteria against.  They enumerate, so they run only at small sizes."""
+and criteria against.  They enumerate or search, so they run only at
+small sizes."""
 
+from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
-from superelliptic.curves import genus_formula
+from superelliptic.algebra import BinaryForm, QQ, factorize, valuation
+from superelliptic.curves import SuperellipticCurve, genus_formula
+from superelliptic.errors import DomainError, UnsupportedCaseError
+from superelliptic.minimal import SuperellipticMinimalReport
 from superelliptic.theta import (
     HalfIntChar,
     branch_characteristic,
@@ -12,6 +18,7 @@ from superelliptic.theta import (
     parity,
     syzygetic,
 )
+from superelliptic.weighted import WeightedPoint, moduli_point, star_act
 
 
 def all_characteristics(g):
@@ -62,3 +69,138 @@ def quotient_genus_triple(n, m, delta):
     """(g, g1, g2) of the covered curve and its two quotients."""
     return (genus_formula(n, delta * m), genus_formula(n, delta),
             genus_formula(n, delta + 1))
+
+
+# ---------------------------------------------------------------------------
+# weighted points and minimal models: the weighted gcd by factoring the gcd
+# of the coordinates, normalization in two star actions, and the minimal
+# model by searching (beta, direction) pairs from the largest beta down
+
+
+def _integer_coords(point):
+    out = []
+    for x in point.coords:
+        x = Fraction(x)
+        if x.denominator != 1:
+            raise DomainError("weighted gcd needs integer coordinates")
+        out.append(x.numerator)
+    return out
+
+
+def wgcd_by_factoring(point, weights=None):
+    """Largest positive integer m with m^q_i | x_i for every coordinate."""
+    xs = _integer_coords(point)
+    ws = weights if weights is not None else point.weights
+    if len(ws) != len(xs):
+        raise DomainError("weight tuple length mismatch")
+    nonzero = [(abs(x), q) for x, q in zip(xs, ws) if x]
+    g0 = 0
+    for x, _ in nonzero:
+        g0 = gcd(g0, x)
+    if g0 <= 1:
+        return 1
+    out = 1
+    for p in factorize(g0):
+        e = min(valuation(x, p) // q for x, q in nonzero)
+        out *= p**e
+    return out
+
+
+def normalize_in_two_stages(point):
+    """Clear denominators by the least power of each prime, divide out the
+    weighted gcd, then make the first nonzero odd-weight coordinate positive."""
+    need = {}
+    for x, q in zip(point.coords, point.weights):
+        den = Fraction(x).denominator
+        if den == 1:
+            continue
+        for p, e in factorize(den).items():
+            need[p] = max(need.get(p, 0), -((-e) // q))  # ceil(e / q)
+    lam = Fraction(1)
+    for p, e in need.items():
+        lam *= Fraction(p) ** e
+    pt = star_act(lam, point) if lam != 1 else point
+    g = wgcd_by_factoring(pt)
+    if g > 1:
+        pt = star_act(Fraction(1, g), pt)
+    for x, q in zip(pt.coords, pt.weights):
+        if x and q % 2 == 1:
+            if x < 0:
+                pt = star_act(Fraction(-1), pt)
+            break
+    return WeightedPoint(tuple(Fraction(x) for x in pt.coords), pt.weights)
+
+
+def is_minimal_tuple_by_factoring(point, d):
+    """(minimal?, offending primes): the prime factors of the weighted gcd
+    for the weights (d/2) q_i."""
+    if any(Fraction(x).denominator != 1 for x in point.coords):
+        raise DomainError("minimality needs an integral tuple")
+    g = wgcd_by_factoring(point, weights=tuple((d * q) // 2 for q in point.weights))
+    if g == 1:
+        return True, ()
+    return False, tuple(sorted(factorize(g)))
+
+
+def _rescale_form(form, p, beta, direction):
+    """Divide the invariant tuple by p^((d/2) q_i) via an exact coordinate
+    scaling; direction 'x' divides coefficient of X^(d-i) Y^i by p^(b i),
+    direction 'y' by p^(b (d-i)).  Returns None when not integral."""
+    d = form.degree
+    out = []
+    for i, c in enumerate(form.coeffs):
+        e = beta * (i if direction == "x" else d - i)
+        c = Fraction(c) / Fraction(p) ** e
+        if c.denominator != 1:
+            return None
+        out.append(c)
+    return BinaryForm(form.field, d, out)
+
+
+def superelliptic_minimal_by_search(curve):
+    """The minimal-model report: for each prime of the weighted gcd, try
+    beta from the exponent left down to 1, along X then Y, and take the
+    first scaling that stays integral; then recompute the output point."""
+    if curve.n != 2 or curve.form_degree() not in (6, 8):
+        raise UnsupportedCaseError(
+            "minimal models are implemented for n = 2, deg f in {5, 6, 7, 8}"
+        )
+    if curve.field != QQ or not curve.is_integral():
+        raise DomainError("minimal models need an integral model over Q")
+    point = moduli_point(curve)
+    d = curve.form_degree()
+    target = wgcd_by_factoring(point, weights=tuple((d * q) // 2 for q in point.weights))
+    form = curve.binary_form()
+    lam = 1
+    x_factor, y_factor, scale = Fraction(1), Fraction(1), Fraction(1)
+    if target > 1:
+        for p, alpha in sorted(factorize(target).items()):
+            remaining = alpha
+            while remaining > 0:
+                hit = None
+                for beta in range(remaining, 0, -1):
+                    for direction in ("x", "y"):
+                        cand = _rescale_form(form, p, beta, direction)
+                        if cand is not None:
+                            hit = (cand, beta, direction)
+                            break
+                    if hit:
+                        break
+                if hit is None:
+                    break
+                form, beta, direction = hit
+                remaining -= beta
+                lam *= p**beta
+                if direction == "x":
+                    x_factor *= Fraction(p) ** beta
+                else:
+                    y_factor *= Fraction(p) ** beta
+                scale /= Fraction(p) ** (beta * d)
+    new_curve = SuperellipticCurve(curve.n, form.to_poly())
+    point_out = moduli_point(new_curve)
+    minimal, offending = is_minimal_tuple_by_factoring(point_out, d)
+    return SuperellipticMinimalReport(
+        curve=new_curve, lam=lam, x_factor=x_factor, y_factor=y_factor,
+        form_scale=scale, is_twist=(d % curve.n != 0), point_in=point,
+        point_out=point_out, fully_minimal=minimal, offending=offending,
+    )

@@ -251,6 +251,26 @@ def test_family_rejects_sqrt_minus3_rows():
         family_equation(14, 2, [1])
 
 
+@pytest.mark.parametrize("case", [c for c in range(1, 32) if c not in (11, 14)])
+def test_family_degree_is_read_off_before_the_product(case):
+    for m in (1, 2, 3):
+        for k in (1, 2, 3):
+            curve = family_equation(case, 2, [7 + 3 * i for i in range(k)], m=m)
+            assert curve.f.degree == atlas._family_degree(case, m, k)
+
+
+def test_family_cap_refuses_before_any_product(monkeypatch):
+    # row 24 with two parameters has degree 120, row 1 with m = 10^40 far more
+    monkeypatch.setattr(atlas, "MAX_FAMILY_DEGREE", 120)
+    assert family_equation(24, 2, [3, 4]).f.degree == 120
+    with pytest.raises(UnsupportedCaseError,
+                       match=r"family row 25 has degree 131; supported up to 120$"):
+        family_equation(25, 2, [3, 4])
+    monkeypatch.undo()
+    with pytest.raises(UnsupportedCaseError, match="supported up to"):
+        family_equation(1, 2, [3], m=10**40)
+
+
 def test_family_degenerate_parameters():
     # lambda = 2 makes x^(2m) + 2 x^m + 1 = (x^m + 1)^2 non-separable
     with pytest.raises(SingularCurveError):

@@ -208,6 +208,16 @@ def test_gap_basis_refuses_past_its_cap():
                              "d_q = 19999999 pairs; supported up to 250000"}}
 
 
+def test_family_eq_refuses_past_its_cap():
+    # row 4 has degree 2 m delta = 2 * 10^9: refused before any product
+    code, out = run_one(["family-eq", "--case", "4", "--n", "2", "--m", "1000000000",
+                         "--params", '["3"]'])
+    assert code == EXIT_DOMAIN
+    assert out == {"error": {"kind": "domain", "message":
+                             "the equation of family row 4 has degree 2000000000; "
+                             "supported up to 1500"}}
+
+
 def test_theta_census():
     code, out = run_one(["theta-census", "--g", "2"])
     assert out["even"] == 10 and out["odd"] == 6 and out["vanishing_even"] == 0

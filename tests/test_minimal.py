@@ -3,9 +3,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superelliptic import algebra
-from superelliptic.algebra import QQ, Poly, valuation
+from superelliptic.algebra import QQ, Mat2, Poly, valuation
 from superelliptic.curves import SuperellipticCurve
 from superelliptic.errors import DomainError, SingularCurveError, UnsupportedCaseError
 from superelliptic.minimal import (
@@ -17,6 +18,8 @@ from superelliptic.minimal import (
     superelliptic_minimal,
 )
 from superelliptic.weighted import WeightedPoint, moduli_point, wgcd
+
+from oracles import is_minimal_tuple_by_factoring, superelliptic_minimal_by_search
 
 
 def rand_model(rng, bound=6):
@@ -150,6 +153,19 @@ def test_minimal_tuple_planted_violation():
     assert not ok and off == (2,)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(2, 4, 6, 10), (2, 3, 4, 5, 6, 7)]), st.sampled_from((6, 8)),
+       st.lists(st.tuples(st.integers(-40, 40), st.sampled_from((1, 2, 3, 5, 6))),
+                min_size=6, max_size=6))
+def test_minimal_tuple_matches_the_factoring_oracle(weights, d, entries):
+    # each coordinate is a cofactor times a power of one of 2, 3, 5, 6
+    coords = [c * b ** (d * q // 2 + c % 3 - 1) for (c, b), q in zip(entries, weights)]
+    if not any(coords):
+        coords[0] = 1
+    pt = WeightedPoint.of(coords, weights)
+    assert is_minimal_tuple(pt, d) == is_minimal_tuple_by_factoring(pt, d)
+
+
 def test_minimal_tuple_requires_integers():
     with pytest.raises(DomainError):
         is_minimal_tuple(WeightedPoint.of([Fraction(1, 2), 1, 1, 1], (2, 4, 6, 10)), 6)
@@ -242,8 +258,8 @@ def test_superelliptic_minimal_reuses_the_input_point(monkeypatch, coeffs, lam):
     curve = SuperellipticCurve(2, Poly(QQ, coeffs))
     rep = superelliptic_minimal(curve)
     assert rep.lam == lam
-    # an already minimal curve is its own output: one moduli point
-    assert len(calls) == (1 if lam == 1 else 2)
+    # the output point follows from the input one by the weight law
+    assert len(calls) == 1
     assert rep.point_out == real(rep.curve)
     if lam == 1:
         assert rep.curve.f == curve.f and rep.point_out == rep.point_in
@@ -258,3 +274,45 @@ def test_superelliptic_minimal_rejects_rational_model():
     c = SuperellipticCurve(2, Poly(QQ, [Fraction(1, 2), 0, 0, 0, 0, 0, 1]))
     with pytest.raises(DomainError):
         superelliptic_minimal(c)
+
+
+def _outcome(fn, curve):
+    try:
+        return repr(fn(curve))
+    except (DomainError, UnsupportedCaseError) as e:
+        return type(e).__name__, str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(5, 8), st.lists(st.integers(-9, 9), min_size=9, max_size=9),
+       st.sampled_from((1, 2, 3, 4, 6, 9, 10, 25)), st.sampled_from((1, 2, 3, 5, 8, 12)),
+       st.sampled_from([None, (1, 0, 1, 2), (2, 1, 0, 1), (3, 1, 0, 3), (1, 0, 2, 4),
+                        (5, 2, 0, 1)]))
+def test_superelliptic_minimal_matches_the_search_oracle(deg, coeffs, ax, ay, mat):
+    """Every report field equals the (beta, direction) search's, on models
+    scaled along X and Y and moved by matrices that leave a weighted gcd
+    no diagonal scaling realizes."""
+    base = coeffs[:deg] + [coeffs[deg] or 1]
+    curve = SuperellipticCurve(2, Poly(QQ, base))
+    d = curve.form_degree()
+    form = curve.binary_form()
+    if mat is not None:
+        form = form.substitute(Mat2(QQ, *mat))
+    form = type(form)(QQ, d, [c * ax**i * ay ** (d - i) for i, c in enumerate(form.coeffs)])
+    curve = SuperellipticCurve(2, form.to_poly())
+    want = _outcome(superelliptic_minimal_by_search, curve)
+    assert _outcome(superelliptic_minimal, curve) == want
+    if isinstance(want, str):
+        rep = superelliptic_minimal(curve)
+        assert rep.point_out == moduli_point(rep.curve)
+        assert (rep.fully_minimal, rep.offending) == is_minimal_tuple(rep.point_out, d)
+        assert replay_reduction(curve.binary_form(), rep) == rep.curve.binary_form()
+
+
+def test_a_stopped_search_names_its_prime():
+    # the weighted gcd has 2^4 5^2; two steps divide out 200 and 2 is left
+    f = [-81920, 3174400, -107520000, 2560000000, 67200000000, 320000000000]
+    curve = SuperellipticCurve(2, Poly(QQ, f))
+    rep = superelliptic_minimal(curve)
+    assert (rep.lam, rep.y_factor, rep.fully_minimal, rep.offending) == (200, 200, False, (2,))
+    assert repr(rep) == repr(superelliptic_minimal_by_search(curve))

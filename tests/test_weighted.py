@@ -2,8 +2,10 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superelliptic.algebra import GF, QQ, Poly
 from superelliptic.curves import SuperellipticCurve
@@ -21,6 +23,7 @@ from superelliptic.weighted import (
 )
 
 from conftest import rand_matrix
+from oracles import normalize_in_two_stages, wgcd_by_factoring
 
 
 def P(coords, weights):
@@ -188,6 +191,46 @@ def test_normalize_canonical(rng):
         n = normalize(p)
         assert wgcd(n) == 1
         assert all(Fraction(c).denominator == 1 for c in n.coords)
+
+
+# ---------------------------------------------------------------------------
+# the exponent map against factoring the gcd and the denominators apart
+
+
+WEIGHT_TUPLES = [(2, 4, 6, 10), (2, 3, 4, 5, 6, 7), (1, 2, 3), (1, 1), (3, 5)]
+
+
+@st.composite
+def points(draw, integral=False):
+    """Coordinates built on 2, 3, 5 and 7 and a cofactor, some zero, moved
+    by a star action, so both denominators and weighted factors occur."""
+    ws = draw(st.sampled_from(WEIGHT_TUPLES))
+    low = 0 if integral else -5
+    coord = st.one_of(
+        st.just(0),
+        st.builds(lambda sign, c, es: sign * c * prod(Fraction(p) ** e for p, e in
+                                                       zip((2, 3, 5, 7), es)),
+                  st.sampled_from((1, -1)), st.integers(1, 60),
+                  st.tuples(*[st.integers(low, 9)] * 4)))
+    coords = draw(st.lists(coord, min_size=len(ws), max_size=len(ws)).filter(any))
+    lam = draw(st.sampled_from((1, 2, 6, 30, -1) if integral else
+                               (1, 2, 6, -1, Fraction(1, 3), Fraction(10, 7))))
+    return star_act(lam, WeightedPoint(tuple(Fraction(c) for c in coords), ws))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points())
+def test_normalize_matches_the_two_stage_oracle(pt):
+    assert repr(normalize(pt)) == repr(normalize_in_two_stages(pt))
+    assert weighted_height(pt) == weighted_height(normalize_in_two_stages(pt))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points(integral=True), st.sampled_from((1, 3, 4)))
+def test_wgcd_matches_the_factoring_oracle(pt, k):
+    ws = tuple(k * q for q in pt.weights)
+    assert wgcd(pt) == wgcd_by_factoring(pt)
+    assert wgcd(pt, weights=ws) == wgcd_by_factoring(pt, weights=ws)
 
 
 # ---------------------------------------------------------------------------
