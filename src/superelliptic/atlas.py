@@ -8,13 +8,19 @@ count gives the number of free level-n branch orbits that complete the
 signature, and a stratum with r branch points has dimension delta = r - 3.
 The genus 3 and 4 tables with explicit full groups and equations are
 embedded verbatim and cross-linked by (n, signature).
+
+Family equations come from one factor table.  Each row is f = x^e H(x^k),
+and on rows 4-31 H is the row's extra factors in u = x^k times one factor
+A + lambda B of its block per parameter; the degree, the product and the
+separability test all read the table.
 """
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from math import gcd
+from fractions import Fraction
+from functools import lru_cache, reduce
+from math import gcd, prod
 
-from .algebra import Poly, QQ
+from .algebra import Poly, QQ, _convolve
 from .curves import SuperellipticCurve, genus_formula
 from .errors import (
     DomainError,
@@ -286,47 +292,59 @@ def aut_lookup(g, n=None, reduced_group=None, m=None, dimension=None, case=None)
 # parametric family equations (characteristic 0, cases 1..31)
 
 
-def _poly(coeff_map, field=QQ):
-    deg = max(coeff_map)
-    return Poly(field, [coeff_map.get(i, 0) for i in range(deg + 1)])
+# Every row is f = x^e H(x^k) with H(0) != 0, written in u = x^k.  On rows
+# 1-3, k = m and H(u) = u^(delta+1) + a1 u^delta + ... + a_delta u + 1.  On
+# rows 4-31, H = E prod_i P_(lambda_i): each block has k (None: the cyclic
+# order m) and P_lambda = A + lambda B as the pairs (a_j, b_j) of its
+# u^j coefficients; each row has e and its extra factors, whose product is E.
+_BLOCKS = (  # (last row, k, P)
+    (9, None, ((1, 0), (0, 1), (1, 0))),
+    (15, 2, ((1, 0), (0, -1), (-33, 0), (0, 2), (-33, 0), (0, -1), (1, 0))),
+    (23, 4, ((1, 0), (0, 1), (759, -4), (2456, 6), (759, -4), (0, 1), (1, 0))),
+    (31, 5, ((-1, 0), (-684, 1), (-157434, -55), (-12527460, 1205),
+             (-77460495, -13090), (-130689144, 69585), (33211924, -134761),
+             (130689144, -69585), (-77460495, -13090), (12527460, -1205),
+             (-157434, -55), (684, -1), (-1, 0))),
+)
+_U1, _U2 = (-1, 1), (-1, 0, 1)         # u - 1, u^2 - 1
+_T8 = (1, 0, 14, 0, 1)                  # x^8 + 14 x^4 + 1 at u = x^2
+_E1, _E3 = (1, 14, 1), (1, -33, -33, 1)  # the S4 extras at u = x^4
+_W1, _W2 = (-1, 11, 1), (1, 228, 494, -228, 1)  # the A5 extras at u = x^5
+_W3 = (1, -522, -10005, 0, -10005, 522, 1)
+_ROWS = {case: (e, reduce(_convolve, extras, (1,))) for case, e, extras in (
+    (4, 0, ()), (5, 0, (_U1,)), (6, 1, ()), (7, 0, (_U2,)), (8, 1, (_U1,)),
+    (9, 1, (_U2,)),
+    (10, 0, ()), (12, 0, (_T8,)), (13, 1, (_U2,)), (15, 1, (_U2, _T8)),
+    (16, 0, ()), (17, 0, (_E1,)), (18, 1, (_U1,)), (19, 1, (_E1, _U1)),
+    (20, 0, (_E3,)), (21, 0, (_E3, _E1)), (22, 1, (_E3, _U1)),
+    (23, 1, (_E3, _E1, _U1)),
+    (24, 0, ()), (25, 1, (_W1,)), (26, 1, (_W2, _W1)), (27, 0, (_W2,)),
+    (28, 0, (_W3,)), (29, 1, (_W1, _W3)), (30, 0, (_W2, _W3)),
+    (31, 1, (_W2, _W1, _W3)),
+)}
 
 
-def _x_power_shift(p, m):
-    """p(x^m) for a polynomial p."""
-    out = {}
-    for i, c in enumerate(p.coeffs):
-        if c:
-            out[i * m] = c
-    return _poly(out, p.field)
-
-
-def _prod(polys, field=QQ):
-    acc = Poly.one(field)
-    for p in polys:
-        acc = acc * p
-    return acc
-
-
-# Largest degree D of a family equation.  The product and the squarefree
-# test cost about D^2 operations on coefficients that grow with delta, so
-# rows 4-9 at m = 1 (delta = D/2) are the slowest: with parameters 100,
-# 101, ... `family-eq` takes 2.1-2.6 s and 24 MB peak RSS at D = 1500 on
-# them, 0.1 s on row 24, CPython 3.11 on one core of an Intel Xeon.
-# Repeated parameters send that test to Euclid over Q, which it does not bound.
-MAX_FAMILY_DEGREE = 1500
-
-
-def _family_degree(case, m, delta):
-    """Degree of row `case`'s equation: delta parameter factors and an extra."""
+def _shape(case, m, delta):
+    """(k, e, E, P, D) of row `case` with delta parameters: f = x^e H(x^k) has
+    degree D, and on rows 4-31 H = E prod P_lambda (E = P = None on rows 1-3)."""
     if case <= 3:
-        return m * (delta + 1) + (case == 3)
-    if case <= 9:
-        return 2 * m * delta + (0, m, 1, 2 * m, m + 1, 2 * m + 1)[case - 4]
-    if case <= 15:  # rows 11 and 14 are refused before
-        return 12 * delta + (0, 0, 8, 5, 0, 13)[case - 10]
-    if case <= 23:
-        return 24 * delta + (0, 8, 5, 13, 12, 20, 17, 25)[case - 16]
-    return 60 * delta + (0, 11, 31, 20, 30, 41, 50, 61)[case - 24]
+        e = int(case == 3)
+        return m, e, None, None, m * (delta + 1) + e
+    k, P = next((k, P) for last, k, P in _BLOCKS if case <= last)
+    k = k or m
+    e, E = _ROWS[case]
+    return k, e, E, P, k * (len(E) - 1 + delta * (len(P) - 1)) + e
+
+
+# Largest degree D of a family equation.  H is multiplied out in u = x^k
+# and, on rows 4-31, separability is decided on each E P_lambda, of
+# u-degree at most 24, so the product on rows 4-9 at m = 1 (delta = D/2) is
+# the slowest: with parameters 100, 101, ... `family-eq` takes 0.7-1.1 s
+# and 23 MB peak RSS at D = 1500 on them, 0.1-0.2 s on rows 1, 10 and 24,
+# CPython 3.11 on one core of an Intel Xeon.  Rows 1-3 test f itself, and
+# a repeated factor there sends that test to Euclid over Q, which it does
+# not bound.
+MAX_FAMILY_DEGREE = 1500
 
 
 def family_equation(case, n, params, m=None):
@@ -336,6 +354,14 @@ def family_equation(case, n, params, m=None):
     is the moduli dimension delta.  Characteristic 0 only; rows 32-45 are
     positive-characteristic families and are rejected, and so is a degree
     past MAX_FAMILY_DEGREE, before any product.
+
+    The row is f = x^e H(x^k) with H(0) != 0 (`_BLOCKS`, `_ROWS`), so f is
+    squarefree iff H is.  Rows 1-3 test f itself.  On rows 4-31,
+    H = E prod P_lambda with E squarefree, E(0) != 0, P_lambda(0) a nonzero
+    constant and gcd(A, B) = 1 over Q (all checked in tests/test_atlas.py):
+    a root shared by P_lambda and P_mu with lambda != mu would be a root of
+    both A and B.  So H is squarefree iff the lambda are distinct and each
+    E P_lambda is squarefree, which is what is tested.
     """
     if not 1 <= case <= 45:
         raise DomainError("case must be in 1..45")
@@ -351,66 +377,26 @@ def family_equation(case, n, params, m=None):
         raise UnsupportedCaseError(
             "rows 11 and 14 need sqrt(-3); not constructible over Q"
         )
-    degree = _family_degree(case, m, delta)
+    k, e, E, P, degree = _shape(case, m, delta)
     if degree > MAX_FAMILY_DEGREE:
         raise UnsupportedCaseError(
             f"the equation of family row {case} has degree {degree}; "
             f"supported up to {MAX_FAMILY_DEGREE}")
-    x = Poly.x(QQ)
-    one = Poly.one(QQ)
-    if case in (1, 2, 3):
-        # g(u) = u^(delta+1) + a1 u^delta + ... + a_delta u + 1
-        g_inner = _poly({delta + 1: 1, 0: 1, **{delta - i: params[i] for i in range(delta)}})
-        f = _x_power_shift(g_inner, m)
-        if case == 3:
-            f = x * f
-    elif case <= 9:
-        F = _prod(_poly({2 * m: 1, m: lam, 0: 1}) for lam in params)
-        extra = {
-            4: one,
-            5: _poly({m: 1, 0: -1}),
-            6: x,
-            7: _poly({2 * m: 1, 0: -1}),
-            8: x * _poly({m: 1, 0: -1}),
-            9: x * _poly({2 * m: 1, 0: -1}),
-        }[case]
-        f = extra * F
-    elif case <= 15:
-        G = _prod(_poly({12: 1, 10: -lam, 8: -33, 6: 2 * lam, 4: -33, 2: -lam, 0: 1})
-                  for lam in params)
-        v = x * _poly({4: 1, 0: -1})
-        u2 = _poly({8: 1, 4: 14, 0: 1})
-        extra = {10: one, 12: u2, 13: v, 15: v * u2}[case]
-        f = extra * G
-    elif case <= 23:
-        M = _prod(_poly({24: 1, 20: lam, 16: 759 - 4 * lam, 12: 2 * (3 * lam + 1228),
-                         8: 759 - 4 * lam, 4: lam, 0: 1}) for lam in params)
-        e1 = _poly({8: 1, 4: 14, 0: 1})
-        e2 = x * _poly({4: 1, 0: -1})
-        e3 = _poly({12: 1, 8: -33, 4: -33, 0: 1})
-        extra = {
-            16: one, 17: e1, 18: e2, 19: e1 * e2,
-            20: e3, 21: e3 * e1, 22: e3 * e2, 23: e3 * e1 * e2,
-        }[case]
-        f = extra * M
+    if P is None:
+        H = [1, *reversed(params), 1]
     else:
-        L = _prod(
-            _poly({60: -1, 55: 684 - lam, 50: -(55 * lam + 157434),
-                   45: -(1205 * lam - 12527460), 40: -(13090 * lam + 77460495),
-                   35: 130689144 - 69585 * lam, 30: 33211924 - 134761 * lam,
-                   25: 69585 * lam - 130689144, 20: -(13090 * lam + 77460495),
-                   15: -(12527460 - 1205 * lam), 10: -(157434 + 55 * lam),
-                   5: lam - 684, 0: -1})
-            for lam in params)
-        w1 = x * _poly({10: 1, 5: 11, 0: -1})
-        w2 = _poly({20: 1, 15: -228, 10: 494, 5: 228, 0: 1})
-        w3 = _poly({30: 1, 25: 522, 20: -10005, 10: -10005, 5: -522, 0: 1})
-        extra = {
-            24: one, 25: w1, 26: w2 * w1, 27: w2,
-            28: w3, 29: w1 * w3, 30: w2 * w3, 31: w2 * w1 * w3,
-        }[case]
-        f = extra * L
-    if f.degree < 1 or not f.is_squarefree():
+        # P_lambda scaled by lambda's denominator q, so H = prod / prod q
+        factors = {lam: [lam.denominator * a + lam.numerator * b for a, b in P]
+                   for lam in params}
+        if degree < 1 or len(factors) < delta or not all(
+                Poly(QQ, _convolve(E, p)).is_squarefree() for p in factors.values()):
+            raise SingularCurveError("degenerate parameters: f is not separable")
+        den = prod(lam.denominator for lam in factors)
+        H = [Fraction(c, den) for c in reduce(_convolve, factors.values(), E)]
+    coeffs = [0] * (degree + 1)
+    coeffs[e::k] = H
+    f = Poly(QQ, coeffs)
+    if P is None and not f.is_squarefree():
         raise SingularCurveError("degenerate parameters: f is not separable")
     return SuperellipticCurve(n, f)
 
@@ -448,11 +434,7 @@ def quotient_equations(curve):
         m = gcd(m, e)
     if m < 2:
         raise DomainError("f is not a polynomial in x^m for any m >= 2")
-    g_coeffs = {}
-    for i, c in enumerate(f.coeffs):
-        if c:
-            g_coeffs[i // m] = c
-    g_poly = _poly(g_coeffs, f.field)
+    g_poly = Poly(f.field, f.coeffs[::m])
     x1 = SuperellipticCurve(curve.n, g_poly)
     x2 = SuperellipticCurve(curve.n, Poly.x(f.field) * g_poly)
     return x1, x2, m

@@ -6,9 +6,10 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from superelliptic.algebra import BinaryForm, QQ, factorize, valuation
+from superelliptic import atlas
+from superelliptic.algebra import BinaryForm, Poly, QQ, factorize, valuation
 from superelliptic.curves import SuperellipticCurve, genus_formula
-from superelliptic.errors import DomainError, UnsupportedCaseError
+from superelliptic.errors import DomainError, SingularCurveError, UnsupportedCaseError
 from superelliptic.minimal import SuperellipticMinimalReport
 from superelliptic.theta import (
     HalfIntChar,
@@ -204,3 +205,124 @@ def superelliptic_minimal_by_search(curve):
         form_scale=scale, is_twist=(d % curve.n != 0), point_in=point,
         point_out=point_out, fully_minimal=minimal, offending=offending,
     )
+
+
+# ---------------------------------------------------------------------------
+# family equations: each row block's polynomials built in x on every call,
+# the degree read off hand-typed offsets, and one squarefree test of the
+# whole product
+
+
+def _poly(coeff_map, field=QQ):
+    deg = max(coeff_map)
+    return Poly(field, [coeff_map.get(i, 0) for i in range(deg + 1)])
+
+
+def _x_power_shift(p, m):
+    """p(x^m) for a polynomial p."""
+    out = {}
+    for i, c in enumerate(p.coeffs):
+        if c:
+            out[i * m] = c
+    return _poly(out, p.field)
+
+
+def _prod(polys, field=QQ):
+    acc = Poly.one(field)
+    for p in polys:
+        acc = acc * p
+    return acc
+
+
+def family_degree_by_offsets(case, m, delta):
+    """Degree of row `case`'s equation: delta parameter factors and an extra."""
+    if case <= 3:
+        return m * (delta + 1) + (case == 3)
+    if case <= 9:
+        return 2 * m * delta + (0, m, 1, 2 * m, m + 1, 2 * m + 1)[case - 4]
+    if case <= 15:  # rows 11 and 14 are refused before
+        return 12 * delta + (0, 0, 8, 5, 0, 13)[case - 10]
+    if case <= 23:
+        return 24 * delta + (0, 8, 5, 13, 12, 20, 17, 25)[case - 16]
+    return 60 * delta + (0, 11, 31, 20, 30, 41, 50, 61)[case - 24]
+
+
+def family_equation_by_blocks(case, n, params, m=None):
+    """`atlas.family_equation` with every block's polynomials built in x and
+    one `is_squarefree` of the whole product."""
+    if not 1 <= case <= 45:
+        raise DomainError("case must be in 1..45")
+    if case >= 32:
+        raise UnsupportedCaseError(
+            "cases 32-45 are positive-characteristic families (out of scope)"
+        )
+    params = [QQ.of(p) for p in params]
+    delta = len(params)
+    if case <= 9 and (m is None or m < 1):
+        raise DomainError("cases 1..9 need the cyclic order m >= 1")
+    if case in (11, 14):
+        raise UnsupportedCaseError(
+            "rows 11 and 14 need sqrt(-3); not constructible over Q"
+        )
+    degree = family_degree_by_offsets(case, m, delta)
+    if degree > atlas.MAX_FAMILY_DEGREE:
+        raise UnsupportedCaseError(
+            f"the equation of family row {case} has degree {degree}; "
+            f"supported up to {atlas.MAX_FAMILY_DEGREE}")
+    x = Poly.x(QQ)
+    one = Poly.one(QQ)
+    if case in (1, 2, 3):
+        # g(u) = u^(delta+1) + a1 u^delta + ... + a_delta u + 1
+        g_inner = _poly({delta + 1: 1, 0: 1, **{delta - i: params[i] for i in range(delta)}})
+        f = _x_power_shift(g_inner, m)
+        if case == 3:
+            f = x * f
+    elif case <= 9:
+        F = _prod(_poly({2 * m: 1, m: lam, 0: 1}) for lam in params)
+        extra = {
+            4: one,
+            5: _poly({m: 1, 0: -1}),
+            6: x,
+            7: _poly({2 * m: 1, 0: -1}),
+            8: x * _poly({m: 1, 0: -1}),
+            9: x * _poly({2 * m: 1, 0: -1}),
+        }[case]
+        f = extra * F
+    elif case <= 15:
+        G = _prod(_poly({12: 1, 10: -lam, 8: -33, 6: 2 * lam, 4: -33, 2: -lam, 0: 1})
+                  for lam in params)
+        v = x * _poly({4: 1, 0: -1})
+        u2 = _poly({8: 1, 4: 14, 0: 1})
+        extra = {10: one, 12: u2, 13: v, 15: v * u2}[case]
+        f = extra * G
+    elif case <= 23:
+        M = _prod(_poly({24: 1, 20: lam, 16: 759 - 4 * lam, 12: 2 * (3 * lam + 1228),
+                         8: 759 - 4 * lam, 4: lam, 0: 1}) for lam in params)
+        e1 = _poly({8: 1, 4: 14, 0: 1})
+        e2 = x * _poly({4: 1, 0: -1})
+        e3 = _poly({12: 1, 8: -33, 4: -33, 0: 1})
+        extra = {
+            16: one, 17: e1, 18: e2, 19: e1 * e2,
+            20: e3, 21: e3 * e1, 22: e3 * e2, 23: e3 * e1 * e2,
+        }[case]
+        f = extra * M
+    else:
+        L = _prod(
+            _poly({60: -1, 55: 684 - lam, 50: -(55 * lam + 157434),
+                   45: -(1205 * lam - 12527460), 40: -(13090 * lam + 77460495),
+                   35: 130689144 - 69585 * lam, 30: 33211924 - 134761 * lam,
+                   25: 69585 * lam - 130689144, 20: -(13090 * lam + 77460495),
+                   15: -(12527460 - 1205 * lam), 10: -(157434 + 55 * lam),
+                   5: lam - 684, 0: -1})
+            for lam in params)
+        w1 = x * _poly({10: 1, 5: 11, 0: -1})
+        w2 = _poly({20: 1, 15: -228, 10: 494, 5: 228, 0: 1})
+        w3 = _poly({30: 1, 25: 522, 20: -10005, 10: -10005, 5: -522, 0: 1})
+        extra = {
+            24: one, 25: w1, 26: w2 * w1, 27: w2,
+            28: w3, 29: w1 * w3, 30: w2 * w3, 31: w2 * w1 * w3,
+        }[case]
+        f = extra * L
+    if f.degree < 1 or not f.is_squarefree():
+        raise SingularCurveError("degenerate parameters: f is not separable")
+    return SuperellipticCurve(n, f)

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superelliptic import atlas
 from superelliptic.algebra import QQ, Poly
@@ -24,7 +25,11 @@ from superelliptic.errors import (
     UnsupportedCaseError,
 )
 
-from oracles import quotient_genus_triple
+from oracles import (
+    family_degree_by_offsets,
+    family_equation_by_blocks,
+    quotient_genus_triple,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +261,42 @@ def test_family_degree_is_read_off_before_the_product(case):
     for m in (1, 2, 3):
         for k in (1, 2, 3):
             curve = family_equation(case, 2, [7 + 3 * i for i in range(k)], m=m)
-            assert curve.f.degree == atlas._family_degree(case, m, k)
+            assert curve.f.degree == atlas._shape(case, m, k)[-1]
+            assert curve.f.degree == family_degree_by_offsets(case, m, k)
+
+
+def test_family_table_meets_the_separability_preconditions():
+    # family_equation decides separability per factor E P_lambda on these facts
+    for _, _, P in atlas._BLOCKS:
+        A, B = Poly(QQ, [a for a, _ in P]), Poly(QQ, [b for _, b in P])
+        assert A.gcd(B) == Poly.one(QQ)
+        assert A[0] != 0 and B[0] == 0          # P_lambda(0) = A(0) for every lambda
+        assert P[-1][0] != 0 and P[-1][1] == 0  # deg P_lambda = deg A for every lambda
+    assert sorted(atlas._ROWS) == [c for c in range(4, 32) if c not in (11, 14)]
+    for e, E in atlas._ROWS.values():
+        assert e in (0, 1) and E[0] != 0 and Poly(QQ, E).is_squarefree()
+
+
+_LAMBDAS = st.one_of(st.sampled_from([2, -2, 0, 1728]), st.integers(-9, 9),
+                     st.fractions(min_value=-9, max_value=9, max_denominator=6))
+
+
+def _family_outcome(fn, case, n, params, m):
+    try:
+        return repr(fn(case, n, params, m=m))
+    except DomainError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([c for c in range(1, 32) if c not in (11, 14)]),
+       st.integers(2, 4), st.integers(1, 4),
+       st.lists(_LAMBDAS, min_size=1, max_size=3), st.lists(st.integers(0, 3), max_size=4))
+def test_family_equation_matches_the_block_builder(case, n, m, pool, picks):
+    # drawing the delta <= 4 parameters from a pool of up to 3 values repeats some
+    params = [pool[i % len(pool)] for i in picks]
+    assert _family_outcome(family_equation, case, n, params, m) == \
+        _family_outcome(family_equation_by_blocks, case, n, params, m)
 
 
 def test_family_cap_refuses_before_any_product(monkeypatch):
