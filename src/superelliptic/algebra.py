@@ -10,7 +10,7 @@ from public scalars.  Its arithmetic is a set of functions on those raw
 vectors (``raw_add`` ... ``raw_xgcd``), one loop per operation, which
 ``Poly`` wraps and Cantor's addition calls directly.  Over QQ a product
 runs on the cleared integer vectors, and squarefreeness is first decided
-modulo one fixed prime.  A ``BinaryForm``
+modulo one fixed prime, else by the sub-resultant PRS.  A ``BinaryForm``
 holds an integer vector with one denominator (lowest terms over QQ,
 residues with denominator 1 over GF(p)) and builds its public ``coeffs``
 on first read, so the form kernels (transvectant, linear substitution,
@@ -172,6 +172,16 @@ def fraction_nth_roots(q, k):
 # fields
 
 
+def _residue(q, p):
+    """The residue mod p of an int or a Fraction q."""
+    num, den = q.numerator, q.denominator
+    if den == 1:
+        return num % p
+    if den % p == 0:
+        raise CharacteristicError(f"denominator {den} not invertible mod {p}")
+    return num * pow(den, -1, p) % p
+
+
 class GFElement:
     """Element of GF(p).  Residues are kept in [0, p)."""
 
@@ -186,16 +196,8 @@ class GFElement:
             if other.p != self.p:
                 raise DomainError("mixed prime fields")
             return other
-        if isinstance(other, int):
-            return GFElement(other, self.p)
-        if isinstance(other, Fraction):
-            if other.denominator % self.p == 0:
-                raise CharacteristicError(
-                    f"denominator {other.denominator} not invertible mod {self.p}"
-                )
-            return GFElement(
-                other.numerator * pow(other.denominator, -1, self.p), self.p
-            )
+        if isinstance(other, (int, Fraction)):
+            return GFElement(_residue(other, self.p), self.p)
         return NotImplemented
 
     def __add__(self, other):
@@ -241,10 +243,8 @@ class GFElement:
     def __eq__(self, other):
         if isinstance(other, GFElement):
             return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        if isinstance(other, Fraction):
-            return other.denominator % self.p != 0 and self == self._lift(other)
+        if isinstance(other, (int, Fraction)):
+            return other.denominator % self.p != 0 and self.value == _residue(other, self.p)
         return NotImplemented
 
     def __hash__(self):
@@ -342,22 +342,15 @@ class PrimeField:
             if v.p != self.p:
                 raise DomainError("mixed prime fields")
             return v
-        if isinstance(v, int):
-            return GFElement(v, self.p)
         if isinstance(v, str):
-            return self.from_fraction(Fraction(v))
-        if isinstance(v, Fraction):
+            v = Fraction(v)
+        if isinstance(v, (int, Fraction)):
             return self.from_fraction(v)
         raise DomainError(f"cannot coerce {v!r} into GF({self.p})")
 
     def from_fraction(self, q):
         """The residue of the rational q, a Fraction or an int."""
-        num, den = q.numerator, q.denominator
-        if den == 1:
-            return GFElement(num, self.p)
-        if den % self.p == 0:
-            raise CharacteristicError(f"denominator {den} not invertible mod {self.p}")
-        return GFElement(num * pow(den, -1, self.p), self.p)
+        return GFElement(_residue(q, self.p), self.p)
 
     @property
     def zero(self):
@@ -394,7 +387,7 @@ class PrimeField:
 
     def _canon(self, ints, num, den):
         """The residues of ints * num / den, with den 1."""
-        s = num if den == 1 else self.from_fraction(Fraction(num, den)).value
+        s = num if den == 1 else _residue(Fraction(num, den), self.p)
         return [c * s % self.p for c in ints], 1
 
     def _exact(self, cs, d):
@@ -673,15 +666,19 @@ class Poly:
         with g0, h0 primitive in Z[x] and c an integer.  As p does not
         divide lc(f) = c lc(g0)^2 lc(h0), g0 mod p keeps its degree, and it
         divides both f mod p and f' mod p.  Only when p divides lc(f), or
-        f mod p has a repeated factor, does Euclid run over QQ, which
-        decides exactly.
+        f mod p has a repeated factor, does the sub-resultant PRS run on f
+        and f' in Z[x], which decides exactly: a nonconstant f is squarefree
+        iff Res(f, f') != 0.  Constants, and zero, are squarefree.
         """
         field, a = self.field, self.raw
-        if not field.characteristic and a:
-            f = field._ints(a)[0]
-            if f[-1] % _CERTIFICATE.p and _squarefree(_CERTIFICATE, _CERTIFICATE._trim(f)):
-                return True
-        return _squarefree(field, a)
+        if field.characteristic:
+            return _squarefree(field, a)
+        if len(a) <= 1:  # _subres would see an empty f'
+            return True
+        f = field._ints(a)[0]
+        if f[-1] % _CERTIFICATE.p and _squarefree(_CERTIFICATE, _CERTIFICATE._trim(f)):
+            return True
+        return _subres(field, f, [i * c for i, c in enumerate(f)][1:]) != 0
 
     def __repr__(self):
         if self.is_zero:

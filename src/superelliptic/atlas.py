@@ -107,7 +107,7 @@ class AutRecord:
     case: int | None
     reduced_group: str
     group: str | None
-    group_order: int | None
+    group_order: int
     n: int
     m: int | None
     signature: tuple
@@ -115,8 +115,6 @@ class AutRecord:
     equation: str | None = None
 
     def hurwitz_ok(self):
-        if self.group_order is None:
-            return True
         return self.group_order <= HURWITZ_FACTOR * (self.genus - 1)
 
 
@@ -220,7 +218,9 @@ _MAX_ATLAS_GENUS = 10
 def _records_for_genus(g):
     """Signature records of genus g: a (case, n, m) point is a stratum when
     Riemann-Hurwitz completes its fixed entries with r >= 3 branch points,
-    and the stratum has dimension r - 3."""
+    and the stratum has dimension r - 3.  A counted record meets the
+    Hurwitz bound by that count: 2g - 2 = |G| (-2 + sum (1 - 1/c_i)) > 0
+    with r >= 3 makes the bracket at least 1/42, so |G| <= 84 (g - 1)."""
     records = []
     nmax = 4 * g + 4
     for case, family, fixed_fn in _CASES:
@@ -233,13 +233,11 @@ def _records_for_genus(g):
                 if tail is None or len(fixed) + tail < 3:
                     continue
                 signature = tuple(sorted(fixed + (n,) * tail))
-                rec = AutRecord(
+                records.append(AutRecord(
                     genus=g, case=case, reduced_group=_family_name(family, m),
                     group=None, group_order=order, n=n, m=m,
                     signature=signature, dimension=len(signature) - 3,
-                )
-                if rec.hurwitz_ok():
-                    records.append(rec)
+                ))
     for nr, family, gname, gorder, n, m, sig, eq in _EXPLICIT.get(g, ()):
         sig = tuple(sorted(sig))
         for i, rec in enumerate(records):
@@ -341,9 +339,9 @@ def _shape(case, m, delta):
 # u-degree at most 24, so the product on rows 4-9 at m = 1 (delta = D/2) is
 # the slowest: with parameters 100, 101, ... `family-eq` takes 0.7-1.1 s
 # and 23 MB peak RSS at D = 1500 on them, 0.1-0.2 s on rows 1, 10 and 24,
-# CPython 3.11 on one core of an Intel Xeon.  Rows 1-3 test f itself, and
-# a repeated factor there sends that test to Euclid over Q, which it does
-# not bound.
+# CPython 3.11 on one core of an Intel Xeon.  Rows 1-3 test H, and a
+# repeated factor there leaves the decision to the sub-resultant PRS: row 1
+# at m = 1 took 0.1 s at D = 151, 2.2 s at D = 301 and 31 s at D = 601.
 MAX_FAMILY_DEGREE = 1500
 
 
@@ -356,12 +354,12 @@ def family_equation(case, n, params, m=None):
     past MAX_FAMILY_DEGREE, before any product.
 
     The row is f = x^e H(x^k) with H(0) != 0 (`_BLOCKS`, `_ROWS`), so f is
-    squarefree iff H is.  Rows 1-3 test f itself.  On rows 4-31,
-    H = E prod P_lambda with E squarefree, E(0) != 0, P_lambda(0) a nonzero
-    constant and gcd(A, B) = 1 over Q (all checked in tests/test_atlas.py):
-    a root shared by P_lambda and P_mu with lambda != mu would be a root of
-    both A and B.  So H is squarefree iff the lambda are distinct and each
-    E P_lambda is squarefree, which is what is tested.
+    squarefree iff H is.  Rows 1-3 test H, of u-degree delta + 1.  On rows
+    4-31, H = E prod P_lambda with E squarefree, E(0) != 0, P_lambda(0) a
+    nonzero constant and gcd(A, B) = 1 over Q (all checked in
+    tests/test_atlas.py): a root shared by P_lambda and P_mu with lambda !=
+    mu would be a root of both A and B.  So H is squarefree iff the lambda
+    are distinct and each E P_lambda is squarefree, which is what is tested.
     """
     if not 1 <= case <= 45:
         raise DomainError("case must be in 1..45")
@@ -384,6 +382,8 @@ def family_equation(case, n, params, m=None):
             f"supported up to {MAX_FAMILY_DEGREE}")
     if P is None:
         H = [1, *reversed(params), 1]
+        if not Poly(QQ, H).is_squarefree():
+            raise SingularCurveError("degenerate parameters: f is not separable")
     else:
         # P_lambda scaled by lambda's denominator q, so H = prod / prod q
         factors = {lam: [lam.denominator * a + lam.numerator * b for a, b in P]
@@ -395,10 +395,7 @@ def family_equation(case, n, params, m=None):
         H = [Fraction(c, den) for c in reduce(_convolve, factors.values(), E)]
     coeffs = [0] * (degree + 1)
     coeffs[e::k] = H
-    f = Poly(QQ, coeffs)
-    if P is None and not f.is_squarefree():
-        raise SingularCurveError("degenerate parameters: f is not separable")
-    return SuperellipticCurve(n, f)
+    return SuperellipticCurve(n, Poly(QQ, coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -244,14 +244,10 @@ def cmd_invariants(p):
         raise DomainError("invariants are implemented for n = 2")
     form = curve.binary_form()
     if form.degree == 6:
-        inv = invariants.igusa_sextic(form)
-        return {"kind": "sextic", **{k: scalar_out(getattr(inv, k)) for k in (
-            "J2", "J4", "J6", "J10", "A", "B", "C", "D",
-            "Afrak", "Bfrak", "Cfrak", "Dfrak")}}
-    inv = invariants.octavic_invariants(form)
-    return {"kind": "octavic", **{
-        f"J{i}": scalar_out(v) for i, v in zip(range(2, 11), inv.tuple())
-    }}
+        kind, inv = "sextic", invariants.igusa_sextic(form)
+    else:
+        kind, inv = "octavic", invariants.octavic_invariants(form)
+    return {"kind": kind, **{k: scalar_out(v) for k, v in vars(inv).items()}}
 
 
 @command("equivalent", "curve1:doc curve2:doc")
@@ -337,15 +333,8 @@ def cmd_aut_lookup(p):
         p["g"], n=p["n"], m=p["m"], reduced_group=p["reduced_group"],
         dimension=p["dimension"], case=p["case"],
     )
-    return {"atlas_version": atlas.ATLAS_VERSION, "records": [
-        {
-            "genus": r.genus, "case": r.case, "reduced_group": r.reduced_group,
-            "group": r.group, "group_order": r.group_order, "n": r.n, "m": r.m,
-            "signature": list(r.signature), "dimension": r.dimension,
-            "equation": r.equation,
-        }
-        for r in recs
-    ]}
+    # copies: the records are cached
+    return {"atlas_version": atlas.ATLAS_VERSION, "records": [dict(vars(r)) for r in recs]}
 
 
 @command("family-eq", "case:int n:int m:int? params:list?")
@@ -360,8 +349,7 @@ def cmd_family_eq(p):
 @command("split", "n:int m:int delta:int")
 def cmd_split(p):
     from . import atlas
-    res = atlas.split_jacobian(p["n"], p["m"], p["delta"])
-    return {"decomposes": res.decomposes, "lhs": res.lhs, "rhs": res.rhs}
+    return vars(atlas.split_jacobian(p["n"], p["m"], p["delta"]))
 
 
 @command("jac-validate", "curve:doc u:doc v:doc")

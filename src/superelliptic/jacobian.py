@@ -120,19 +120,26 @@ def identity(curve):
     return MumfordDivisor(curve, Poly.one(curve.field), Poly.zero(curve.field))
 
 
-def divisor_from_points(curve, points):
-    """Mumford divisor of sum of affine points with distinct x-coordinates."""
+def _interpolate(curve, points, repeated=None):
+    """(U, V) with U = prod (x - x_i) and V through the points, which must
+    lie on the curve; `repeated`, if given, refuses a repeated x first."""
     field = curve.field
     xs = [field.of(x) for x, _ in points]
     ys = [field.of(y) for _, y in points]
+    if repeated and len(set(xs)) != len(xs):
+        raise DomainError(repeated)
     for x, y in zip(xs, ys):
         if y * y + curve.h(x) * y != curve.f(x):
             raise DomainError("point is not on the curve")
     u = Poly.one(field)
     for x in xs:
         u = u * Poly(field, [-x, 1])
-    v = lagrange_interpolate(field, xs, ys)
-    return mumford_validate(u, v, curve)
+    return u, lagrange_interpolate(field, xs, ys)
+
+
+def divisor_from_points(curve, points):
+    """Mumford divisor of sum of affine points with distinct x-coordinates."""
+    return mumford_validate(*_interpolate(curve, points), curve)
 
 
 @dataclass(frozen=True)
@@ -147,20 +154,9 @@ def jacobi_polynomials(points, curve):
     W = (f - V^2)/U exactly; the curve must have h = 0."""
     if not curve.h.is_zero:
         raise DomainError("Jacobi polynomials need an h = 0 model")
-    field = curve.field
-    xs = [field.of(x) for x, _ in points]
-    ys = [field.of(y) for _, y in points]
-    if len(set(xs)) != len(xs):
-        raise DomainError("repeated x-coordinates need multiplicity handling")
-    for x, y in zip(xs, ys):
-        if y * y != curve.f(x):
-            raise DomainError("point is not on the curve")
-    u = Poly.one(field)
-    for x in xs:
-        u = u * Poly(field, [-x, 1])
-    v = lagrange_interpolate(field, xs, ys)
+    u, v = _interpolate(curve, points, "repeated x-coordinates need multiplicity handling")
     w = (curve.f - v * v).exact_div(u)
-    if w.is_zero or w.lc != field.one:
+    if w.is_zero or w.lc != curve.field.one:
         raise DomainError("W fails to be monic; too many points for this curve")
     return JacobiTriple(U=u, V=v, W=w)
 
@@ -201,7 +197,8 @@ def _raw_sum(field, f, h, x, y):
     with V = v1 mod u1 and V = v2 mod u2 where the sum composed coprime u1,
     u2 with D1 != D2 (None where it did not: a doubling, a sum on points,
     an explicit genus-2 sum of degree 1, a genus-3 sum with an operand of
-    degree 1 or 2 or a shared root).
+    degree 1 or 2 or a shared root).  V is read in genus 2 only, by
+    interpolation_add_g2, so the genus-3 explicit line returns None for it.
 
     The identity plus a reduced divisor is that divisor.  Over GF(p), two
     divisors of degree g = 2 or 3 take explicit formulas, _g2_explicit in
@@ -308,7 +305,7 @@ def _raw_sum(field, f, h, x, y):
                 d1 = (f5 - n2 * K3 - n3 * K2 - m3 * d2 - m2) % p
                 d0 = (f4 - n1 * K3 - n2 * K2 - n3 * K1 - m3 * d1 - m2 * d2 - m1) % p
                 v3 = field._trim([K3 * d0 - K0, K3 * d1 - K1, K3 * d2 - K2])
-                return ((d0, d1, d2, 1), v3), None if double else (V0, V1, V2, V3, V4, s2)
+                return ((d0, d1, d2, 1), v3), None
         if len(v1) < len(u1) <= 4 and len(v2) < len(u2) <= 4:  # both reduced
             out = _g3_special(p, f, h, u1, v1, u2, v2)
             if out:
@@ -500,11 +497,11 @@ def _g2_special(p, f, h, u1, v1, u2, v2):
     y0, y1, y2 = _ev(v1, x0, p), _ev(v1, x1, p), _ev(v2, x2, p)
     if _ev(v2, x0, p) != y0:  # P2 = -P1
         return _g2_points(p, f, h, x1, y1, x2, y2)
-    for u, v, x, y in ((u1, v1, x2, y2), (u2, v2, x1, y1)):  # (D1 + Q2) + P, (D2 + Q1) + P
-        if _ev(u, x, p):
-            u, v = _g2_point_plus(p, f, h, x, y, u, v)
-            return _g2_point_plus(p, f, h, x0, y0, u, v) if _ev(u, x0, p) else None
-    return None
+    # (D1 + Q2) + P, else (D2 + Q1) + P: as u1 != u2 share only x0 and x1 !=
+    # x2, u1(x2) and u2(x1) are not both 0
+    u, v, x, y = (u1, v1, x2, y2) if _ev(u1, x2, p) else (u2, v2, x1, y1)
+    u, v = _g2_point_plus(p, f, h, x, y, u, v)
+    return _g2_point_plus(p, f, h, x0, y0, u, v) if _ev(u, x0, p) else None
 
 
 def _g3_point_plus(p, f, h, x1, y1, u, v):

@@ -66,14 +66,11 @@ def _exponents(coords, weights):
     return out
 
 
-def wgcd(point, weights=None):
+def wgcd(point):
     """Largest positive integer m with m^q_i | x_i for every coordinate."""
     if any(x.denominator != 1 for x in point.coords):
         raise DomainError("weighted gcd needs integer coordinates")
-    ws = weights if weights is not None else point.weights
-    if len(ws) != len(point.coords):
-        raise DomainError("weight tuple length mismatch")
-    return prod(p**e for p, e in _exponents(point.coords, ws).items())
+    return prod(p**e for p, e in _exponents(point.coords, point.weights).items())
 
 
 def normalize(point):

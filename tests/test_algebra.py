@@ -290,26 +290,34 @@ def _euclid_squarefree(coeffs):
 
 
 def _decide(coeffs):
-    """(is_squarefree, the fields whose Euclid ran) for f over QQ."""
-    fields = []
-    inner = algebra._squarefree
+    """(is_squarefree, the path it took) for f over QQ: the field of each
+    Euclid run, then "subres" if the sub-resultant PRS decided."""
+    path = []
+    euclid, subres = algebra._squarefree, algebra._subres
 
-    def spy(field, a):
-        fields.append(field)
-        return inner(field, a)
+    def spy_euclid(field, a):
+        path.append(field)
+        return euclid(field, a)
+
+    def spy_subres(field, a, b):
+        path.append("subres")
+        return subres(field, a, b)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(algebra, "_squarefree", spy)
-        return Poly(QQ, coeffs).is_squarefree(), fields
+        mp.setattr(algebra, "_squarefree", spy_euclid)
+        mp.setattr(algebra, "_subres", spy_subres)
+        return Poly(QQ, coeffs).is_squarefree(), path
 
 
 @given(st.lists(rationals, max_size=9))
 @settings(max_examples=200, deadline=None)
 def test_squarefree_matches_euclid_random(coeffs):
-    got, fields = _decide(coeffs)
+    got, path = _decide(coeffs)
     assert got == _euclid_squarefree(coeffs)
-    if any(coeffs):  # p does not divide these lc: the certificate runs first
-        assert fields[0] == algebra._CERTIFICATE and fields[1:] in ([], [QQ])
+    if Poly(QQ, coeffs).degree >= 1:  # p does not divide these lc: the certificate runs first
+        assert path[0] == algebra._CERTIFICATE and path[1:] in ([], ["subres"])
+    else:  # constants and zero are squarefree without a test
+        assert got is True and path == []
 
 
 @given(st.lists(rationals, min_size=2, max_size=4).filter(lambda g: g[-1]),
@@ -317,9 +325,9 @@ def test_squarefree_matches_euclid_random(coeffs):
 @settings(max_examples=100, deadline=None)
 def test_squarefree_refuses_forced_repeats(g, h):
     f = _fraction_mul(_fraction_mul(g, g), h)
-    got, fields = _decide(f)
+    got, path = _decide(f)
     assert got is False and _euclid_squarefree(f) is False
-    assert fields[-1] == QQ  # a repeated factor survives mod p: Euclid decides
+    assert path[-1] == "subres"  # a repeated factor survives mod p: the PRS decides
 
 
 @given(st.lists(rationals, max_size=7), st.integers(-3, 3).filter(bool),
@@ -329,10 +337,10 @@ def test_squarefree_when_p_divides_the_leading_coefficient(low, k, den, repeat):
     f = low + [Fraction(k * CERT_P, den)]
     if repeat:
         f = _fraction_mul(f, [Fraction(1), Fraction(2), Fraction(1)])  # (x + 1)^2
-    got, fields = _decide(f)
+    got, path = _decide(f)
     assert got == _euclid_squarefree(f)
     if len(f) > 1:
-        assert fields == [QQ]  # no certificate: p divides lc
+        assert path == ["subres"]  # no certificate: p divides lc
 
 
 @given(st.integers(-10**6, 10**6), st.lists(rationals, min_size=1, max_size=5))
@@ -342,9 +350,9 @@ def test_squarefree_when_the_reduction_has_a_repeated_root(a, h):
     h = _trim_list(list(h)) or [Fraction(1)]
     f = _fraction_mul(_fraction_mul([Fraction(-a), Fraction(1)],
                                     [Fraction(-a - CERT_P), Fraction(1)]), h)
-    got, fields = _decide(f)
+    got, path = _decide(f)
     assert got == _euclid_squarefree(f)
-    assert fields[-1] == QQ  # the certificate saw a common factor: fallback
+    assert path[-1] == "subres"  # the certificate saw a common factor: fallback
 
 
 @given(gf_polys())

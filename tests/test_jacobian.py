@@ -743,12 +743,31 @@ def test_weil_data_matches_the_table_count(p, data):
 
 def test_ambiguous_pick_is_resolved_by_counting(monkeypatch):
     # y^2 = x^5 + 1 over GF(11) has 5 rational Weierstrass points and 2
-    # other affine points: one divisor, which leaves more than one candidate
+    # other affine points, both at x = 0: no divisor to draw, so more than
+    # one candidate is left
     counts = []
     monkeypatch.setattr(jacobian, "_count_n2",
                         lambda *args: counts.append(args) or _count_n2(*args))
     assert weil_data_g2(C11) == _weil_data_oracle(C11)
     assert len(counts) == 1
+
+
+def test_pick_stops_at_its_cap_and_the_count_decides(monkeypatch):
+    # y^2 = x^5 + 10 over GF(19) has 9 x with two points, so 4 divisors to
+    # draw; with PICK_DIVISORS = 1 the first leaves more than one candidate,
+    # the pick stops at its cap, and the count decides
+    curve = HyperCurve.make(GF(19), [10, 0, 0, 0, 0, 1])
+    want = _weil_data_oracle(curve)
+    real, drawn, counts = jacobian._pick_divisors, [], []
+    monkeypatch.setattr(jacobian, "_pick_divisors",
+                        lambda *args: (drawn.append(d) or d for d in real(*args)))
+    assert weil_data_g2(curve) == want and len(drawn) > 1
+    drawn.clear()
+    monkeypatch.setattr(jacobian, "PICK_DIVISORS", 1)
+    monkeypatch.setattr(jacobian, "_count_n2",
+                        lambda *args: counts.append(args) or _count_n2(*args))
+    assert weil_data_g2(curve) == want
+    assert len(drawn) == 1 and len(counts) == 1
 
 
 def test_single_candidate_is_checked_on_one_divisor(monkeypatch):

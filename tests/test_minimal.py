@@ -233,7 +233,7 @@ def test_superelliptic_minimal_output_wgcd_one(rng):
             continue
         d = rep.curve.form_degree()
         thresholds = tuple((d * q) // 2 for q in rep.point_out.weights)
-        assert wgcd(rep.point_out, weights=thresholds) == 1
+        assert wgcd(WeightedPoint(rep.point_out.coords, thresholds)) == 1
 
 
 @pytest.mark.parametrize("coeffs, lam", [

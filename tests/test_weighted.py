@@ -230,7 +230,7 @@ def test_normalize_matches_the_two_stage_oracle(pt):
 def test_wgcd_matches_the_factoring_oracle(pt, k):
     ws = tuple(k * q for q in pt.weights)
     assert wgcd(pt) == wgcd_by_factoring(pt)
-    assert wgcd(pt, weights=ws) == wgcd_by_factoring(pt, weights=ws)
+    assert wgcd(WeightedPoint(pt.coords, ws)) == wgcd_by_factoring(pt, weights=ws)
 
 
 # ---------------------------------------------------------------------------
