@@ -864,16 +864,6 @@ class BinaryForm:
         ints, den = self.field._canon(_convolve(self.ints, other.ints), 1, self.den * other.den)
         return BinaryForm._of_ints(self.field, self.degree + other.degree, ints, den)
 
-    def diff_xy(self, i, j):
-        """Mixed partial derivative d^(i+j) f / dX^i dY^j, exact."""
-        d, a = self.degree, self.ints
-        if i + j > d:
-            return None
-        ints, den = self.field._canon(
-            [a[k + j] * perm(d - k - j, i) * perm(k + j, j) for k in range(d - i - j + 1)],
-            1, self.den)
-        return BinaryForm._of_ints(self.field, d - i - j, ints, den) if any(ints) else None
-
     def substitute(self, M):
         """f(aX + bY, cX + dY) for M = [[a, b], [c, d]]."""
         if not isinstance(M, Mat2) or M.field != self.field:

@@ -211,6 +211,8 @@ GENUS3_GROUP_IDS_CHAR0 = (
     (16, 11), (32, 9), (12, 4), (16, 13), (24, 5), (48, 33), (48, 48), (96, 64),
 )
 
+# Records are counted for any g, and only the genus 3 and 4 rows are
+# embedded; the cap is where the count was checked against the paper's tables.
 _MAX_ATLAS_GENUS = 10
 
 
@@ -267,7 +269,9 @@ def _family_name(family, m):
 
 
 def aut_lookup(g, n=None, reduced_group=None, m=None, dimension=None, case=None):
-    """Embedded signature records for genus g, optionally filtered."""
+    """Signature records for genus g, counted by Riemann-Hurwitz with the
+    embedded genus 3 and 4 rows, optionally filtered; g = 2..10, where the
+    count was checked against the paper's tables."""
     if not 2 <= g <= _MAX_ATLAS_GENUS:
         raise NotInAtlasError(f"no embedded automorphism data for genus {g}")
     out = []

@@ -316,13 +316,8 @@ def cmd_laska(p):
         raise ParseError("model must be [a1, a2, a3, a4, a6]")
     rep = minimal.laska_reduce(
         minimal.EllipticModel(*[int_in(a, "model entry") for a in p["model"]]))
-    return {
-        "model": list(rep.model.ainvs()),
-        "u": rep.u, "r": rep.r, "s": rep.s, "t": rep.t,
-        "discriminant_in": rep.discriminant_in,
-        "discriminant_out": rep.discriminant_out,
-        "valuations": {str(q): list(v) for q, v in rep.valuations.items()},
-    }
+    return {**vars(rep), "model": list(rep.model.ainvs()),
+            "valuations": {str(q): list(v) for q, v in rep.valuations.items()}}
 
 
 @command("aut-lookup",

@@ -60,15 +60,6 @@ class HalfIntChar:
             tuple((a + b) % 2 for a, b in zip(self.bottom, other.bottom)),
         )
 
-    def halves(self):
-        """Entries as exact fractions (0 or 1/2), top row then bottom."""
-        from fractions import Fraction
-        h = Fraction(1, 2)
-        return (
-            tuple(b * h for b in self.top),
-            tuple(b * h for b in self.bottom),
-        )
-
 
 def parity(m):
     """+1 for even characteristics, -1 for odd: (-1)^(4 m' . m'')."""

@@ -1,4 +1,7 @@
 import random
+import signal
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -43,3 +46,37 @@ def rand_separable_sextic(rng):
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+# Longest one test may run, 16x the slowest test (18.4 s): a hang in the
+# library fails the test it hangs in instead of running to the CI job's
+# timeout.  SIGALRM fires only between bytecodes, so one long C-level
+# operation (a huge integer product) finishes before the test fails.
+TEST_TIME_LIMIT_S = 300
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the running test once `seconds` pass inside the block; an alarm
+    armed outside the block is re-armed with the time it has left."""
+    def fire(signum, frame):
+        pytest.fail(f"test ran past its {seconds} s time limit", pytrace=False)
+
+    old = signal.signal(signal.SIGALRM, fire)
+    start, outer = time.monotonic(), signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+        if outer:
+            signal.alarm(max(1, outer - int(time.monotonic() - start)))
+
+
+@pytest.fixture(autouse=True)
+def _test_time_limit():
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    with time_limit(TEST_TIME_LIMIT_S):
+        yield

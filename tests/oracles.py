@@ -326,3 +326,40 @@ def family_equation_by_blocks(case, n, params, m=None):
     if f.degree < 1 or not f.is_squarefree():
         raise SingularCurveError("degenerate parameters: f is not separable")
     return SuperellipticCurve(n, f)
+
+
+# ---------------------------------------------------------------------------
+# binary forms: a partial derivative term by term, on public scalars
+
+
+def diff_xy_by_terms(f, i, j):
+    """d^(i+j) f / dX^i dY^j as a list of public scalars, or None if zero."""
+    d = f.degree
+    out = []
+    for k in range(d - i - j + 1):
+        xe, ye = d - k - j, k + j
+        m = 1
+        for t in range(i):
+            m *= xe - t
+        for t in range(j):
+            m *= ye - t
+        out.append(f.coeffs[k + j] * m)
+    return out if any(out) else None
+
+
+# ---------------------------------------------------------------------------
+# Jacobians: the Hasse-Weil interval tested one end at a time
+
+
+def hasse_interval_contains_by_ends(q, n):
+    """Exact test for (sqrt(q)-1)^4 <= n <= (sqrt(q)+1)^4, each end in its
+    own branch."""
+    base = (q + 1) ** 2 + 4 * q
+    root_part = 16 * q * (q + 1) ** 2
+    lo_diff = base - n  # need lo_diff <= 4 (q+1) sqrt(q)
+    if lo_diff > 0 and lo_diff * lo_diff > root_part:
+        return False
+    hi_diff = n - base  # need hi_diff <= 4 (q+1) sqrt(q)
+    if hi_diff > 0 and hi_diff * hi_diff > root_part:
+        return False
+    return True

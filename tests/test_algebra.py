@@ -24,6 +24,7 @@ from superelliptic import algebra
 from superelliptic.errors import CharacteristicError, DomainError, UnsupportedCaseError
 
 from conftest import form_from_roots, rand_form, rand_matrix
+from oracles import diff_xy_by_terms
 
 small_ints = st.integers(min_value=-30, max_value=30)
 
@@ -557,10 +558,10 @@ def test_discriminant_vanishes_iff_gcd_nonconstant(rng):
         d = f.degree
         # projective gcd criterion: common factor of f with both partials,
         # including the root at infinity bookkeeping
-        fx = f.diff_xy(1, 0)
-        fy = f.diff_xy(0, 1)
-        gx = fx.to_poly() if fx else Poly.zero(QQ)
-        gy = fy.to_poly() if fy else Poly.zero(QQ)
+        fx = diff_xy_by_terms(f, 1, 0)
+        fy = diff_xy_by_terms(f, 0, 1)
+        gx = BinaryForm(QQ, d - 1, fx).to_poly() if fx else Poly.zero(QQ)
+        gy = BinaryForm(QQ, d - 1, fy).to_poly() if fy else Poly.zero(QQ)
         g = p.gcd(gx).gcd(gy)
         inf_mult = d - p.degree
         repeated = g.degree > 0 or inf_mult >= 2

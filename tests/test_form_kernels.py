@@ -26,23 +26,10 @@ from superelliptic.algebra import (
 from superelliptic.cli import main
 from superelliptic.errors import CharacteristicError, DomainError
 
+from oracles import diff_xy_by_terms
+
 # ---------------------------------------------------------------------------
 # oracles
-
-
-def _oracle_diff_xy(f, i, j):
-    """d^(i+j) f / dX^i dY^j as a list of public scalars, or None if zero."""
-    d = f.degree
-    out = []
-    for k in range(d - i - j + 1):
-        xe, ye = d - k - j, k + j
-        m = 1
-        for t in range(i):
-            m *= xe - t
-        for t in range(j):
-            m *= ye - t
-        out.append(f.coeffs[k + j] * m)
-    return out if any(out) else None
 
 
 def _oracle_mul(a, b, zero):
@@ -59,7 +46,7 @@ def _oracle_transvectant(f, g, r):
     out_deg = n + m - 2 * r
     acc = [field.zero] * (out_deg + 1)
     for k in range(r + 1):
-        df, dg = _oracle_diff_xy(f, r - k, k), _oracle_diff_xy(g, k, r - k)
+        df, dg = diff_xy_by_terms(f, r - k, k), diff_xy_by_terms(g, k, r - k)
         if df is None or dg is None:
             continue
         sign = -1 if k % 2 else 1
@@ -228,18 +215,6 @@ def test_transvectant_characteristic_errors_match_oracle(case):
     # small p divides the prefactor's denominator once n or m reaches p
     f, g, r = case
     assert _outcome(transvectant, f, g, r) == _outcome(_oracle_transvectant, f, g, r)
-
-
-@given(transvectant_cases())
-@settings(max_examples=100, deadline=None)
-def test_diff_xy_matches_oracle(case):
-    f, _, r = case
-    for i in range(r + 1):
-        got = f.diff_xy(i, r - i)
-        want = _oracle_diff_xy(f, i, r - i)
-        assert (None if got is None else list(got.coeffs)) == want
-        if got is not None:
-            assert {type(c) for c in got.coeffs} == {type(want[0])}
 
 
 @given(st.data())

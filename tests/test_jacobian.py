@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -30,6 +31,8 @@ from superelliptic.jacobian import (
     scalar_mul,
     weil_data_g2,
 )
+
+from oracles import hasse_interval_contains_by_ends
 
 C7 = HyperCurve.make(GF(7), [1, 0, 0, 0, 0, 1])        # y^2 = x^5 + 1
 C5 = HyperCurve.make(GF(5), [1, 1, 0, 0, 0, 1])        # y^2 = x^5 + x + 1
@@ -612,6 +615,22 @@ def test_order_in_hasse_interval():
         assert hasse_interval_contains(q, order)
     assert not hasse_interval_contains(7, 2)
     assert not hasse_interval_contains(7, 200)
+
+
+def test_hasse_test_matches_the_oracle_on_every_small_n():
+    # n runs from below the lower end to past the upper one, (sqrt(q) + 1)^4
+    for q in range(64):
+        for n in range(-5, 4 * q * q + 50):
+            assert hasse_interval_contains(q, n) == hasse_interval_contains_by_ends(q, n), (q, n)
+
+
+@given(st.one_of(st.integers(1, 10**12), st.integers(1, 10**6).map(lambda r: r * r)),
+       st.sampled_from((-1, 1)), st.integers(-3, 3))
+@settings(max_examples=500, deadline=None)
+def test_hasse_test_matches_the_oracle_near_both_ends(q, side, offset):
+    # the ends are (q + 1)^2 + 4q -/+ 4 (q + 1) sqrt(q), exact for a square q
+    n = (q + 1) ** 2 + 4 * q + side * isqrt(16 * q * (q + 1) ** 2) + offset
+    assert hasse_interval_contains(q, n) == hasse_interval_contains_by_ends(q, n)
 
 
 def test_order_annihilates_group(rng):

@@ -11,7 +11,6 @@ from superelliptic.algebra import (
     QQ,
     BinaryForm,
     Poly,
-    PrimeField,
     discriminant,
     factorize,
     transvectant,
@@ -19,21 +18,21 @@ from superelliptic.algebra import (
 )
 from superelliptic.curves import SuperellipticCurve
 from superelliptic.errors import DomainError, ParseError, UnsupportedCaseError
-from superelliptic.jacobian import HyperCurve, enumerate_divisors, weil_data_g2
+from superelliptic.jacobian import (
+    HyperCurve,
+    cantor_add,
+    enumerate_divisors,
+    identity,
+    interpolation_add_g2,
+    weil_data_g2,
+)
 from superelliptic.minimal import EllipticModel
 from superelliptic.theta import HalfIntChar
 from superelliptic.weighted import WeightedPoint, moduli_point
 
 QUINTIC = [1, 0, 0, 0, 0, 1]  # x^5 + 1
-
-
-def _char2_curve():
-    """A HyperCurve over a stand-in for GF(2), which PrimeField refuses to
-    build, so the curve's own characteristic check is what answers."""
-    f2 = object.__new__(PrimeField)
-    f2.p = f2.characteristic = 2
-    f2._red = (2).__rmod__
-    return HyperCurve(Poly(f2, QUINTIC), Poly(f2, []))
+# the identity on two genus-2 curves with h = 0: y^2 = x^5 + 1 and x^5 + 2
+ONE_A, ONE_B = (identity(HyperCurve.make(GF(7), f)) for f in (QUINTIC, [2, 0, 0, 0, 0, 1]))
 
 
 def _form(coeffs, field=QQ):
@@ -47,7 +46,6 @@ REFUSALS = [
      DomainError, "f must be monic"),
     ("hyper-deg-h", lambda: HyperCurve.make(QQ, QUINTIC, [0, 0, 0, 1]),
      DomainError, "deg h must be at most g"),
-    ("hyper-char-2", _char2_curve, DomainError, "characteristic 2 not supported"),
     ("superelliptic-level", lambda: SuperellipticCurve(1, Poly(QQ, [1, 0, 1])),
      DomainError, "superelliptic level n must be >= 2"),
     ("superelliptic-constant", lambda: SuperellipticCurve(2, Poly(QQ, [3])),
@@ -68,6 +66,10 @@ REFUSALS = [
      DomainError, "moduli points are implemented for n = 2"),
     ("weil-over-q", lambda: weil_data_g2(HyperCurve.make(QQ, QUINTIC)),
      UnsupportedCaseError, "order computation needs GF(p), p an odd prime"),
+    ("cantor-curves", lambda: cantor_add(ONE_A, ONE_B),
+     DomainError, "divisors live on different curves"),
+    ("interpolation-curves", lambda: interpolation_add_g2(ONE_A, ONE_B),
+     DomainError, "divisors live on different curves"),
     ("enumerate-over-q", lambda: enumerate_divisors(HyperCurve.make(QQ, QUINTIC)),
      DomainError, "enumeration needs a finite field"),
     ("factorize-0", lambda: factorize(0), DomainError, "factorize expects a positive integer"),

@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 from math import comb, prod
 
 import pytest
@@ -59,13 +58,6 @@ def test_characteristic_group_structure():
         assert m + zero == m
         assert m + m == zero
     assert chars[3] + chars[5] in set(chars)
-
-
-def test_halves_view():
-    m = HalfIntChar((1, 0), (0, 1))
-    top, bottom = m.halves()
-    assert top == (Fraction(1, 2), 0)
-    assert bottom == (0, Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
