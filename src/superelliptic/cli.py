@@ -15,7 +15,10 @@ mode (--input file.jsonl) emits one output line per input line; a failing
 line becomes an error object and never aborts the batch.  A batch checks a
 field and a curve once per run of lines naming them: each `main` call
 keeps the last GF(p) it built and the last curve that passed
-`HyperCurve`'s checks, and starts with neither.
+`HyperCurve`'s checks, and starts with neither.  A line finds that curve
+before building any polynomial, by its document as written (each
+coefficient with its JSON type, as JSON has 1 == true), and on a miss by
+its parsed field, f and h.
 
 At module level this file imports only the scalars and errors every
 command needs; each handler imports the library modules it runs, so a
@@ -72,32 +75,26 @@ KINDS = {"int": (int_in, False), "str": (str_in, False),
 # scalar and document (de)serialization
 
 
-# The last GF(p) built and the last HyperCurve checked by the running
-# `main` call, each as (key, value); `main` empties it on entry and on
-# exit.  A field or curve that raised is never kept, and a kept value is
-# what its key would build again.
+# The last GF(p) built, as (name, field), and the last HyperCurve checked,
+# as (document as written, parsed key, curve), by the running `main` call;
+# `main` empties it on entry and on exit.  A field or curve that raised is
+# never kept, and a kept value is what either of its keys would build again.
 _last = {}
-
-
-def _reuse(slot, key, build):
-    """The value kept in `slot` if its key equals `key`, else build()."""
-    last = _last.get(slot)
-    if last is not None and last[0] == key:
-        return last[1]
-    value = build()
-    _last[slot] = (key, value)
-    return value
 
 
 def parse_field(name):
     if name == "Q":
         return QQ
     if isinstance(name, str) and name.startswith("GF(") and name.endswith(")"):
+        last = _last.get("field")
+        if last is not None and last[0] == name:
+            return last[1]
         try:
             p = int(name[3:-1])
         except ValueError:
             raise ParseError(f"bad field {name!r}")
-        return _reuse("field", name, lambda: GF(p))
+        _last["field"] = (name, GF(p))
+        return _last["field"][1]
     raise ParseError(f"unknown field {name!r}; use \"Q\" or \"GF(p)\"")
 
 
@@ -161,18 +158,36 @@ def curve_out(curve):
     return {"n": curve.n, "f": poly_out(curve.f), "field": field_name(curve.field)}
 
 
+def _typed(v):
+    """A JSON value as written, each list entry with its type: [1] == [True]."""
+    return [(type(c), c) for c in v] if type(v) is list else (type(v), v)
+
+
 def parse_hyper(doc):
+    """The HyperCurve of a document: the kept curve if the document is
+    written as the last one that found it, or spells the same field, f and
+    h; else a new one, checked and kept."""
     if not isinstance(doc, dict):
         raise ParseError("hyperelliptic curve document must be a JSON object")
+    name = doc.get("field", "Q")
+    written = (name, _typed(doc.get("f")), _typed(doc.get("h", [])))
+    last = _last.get("curve")  # (written, parsed, curve)
+    if last is not None and last[0] == written:
+        return last[2]
     try:
-        field = parse_field(doc.get("field", "Q"))
+        field = parse_field(name)
         f = poly_in(field, doc["f"])
         h = poly_in(field, doc.get("h", []))
     except KeyError as e:
         raise ParseError(f"curve document missing key {e}")
-    from . import jacobian
-    # keyed on parsed values, not JSON ones: [1] == [True]
-    return _reuse("curve", (field, f.raw, h.raw), lambda: jacobian.HyperCurve(f, h))
+    parsed = (field, f.raw, h.raw)
+    if last is not None and last[1] == parsed:
+        curve = last[2]
+    else:
+        from . import jacobian
+        curve = jacobian.HyperCurve(f, h)
+    _last["curve"] = (written, parsed, curve)
+    return curve
 
 
 def parse_point(doc):

@@ -22,7 +22,7 @@ ladder on the raw vectors through the same dispatcher and boxes once.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import product
+from itertools import product, zip_longest
 from math import isqrt
 
 from .algebra import (
@@ -98,7 +98,9 @@ def mumford_validate(u, v, curve):
     """Check Mumford's three conditions and build the divisor.
 
     Raises MumfordError with .condition in {"monic", "degree",
-    "divisibility"} naming the first failed condition.
+    "divisibility"} naming the first failed condition.  Divisibility is
+    the remainder of _mumford_divmod, the division Cantor's reduction
+    also runs.
     """
     field = curve.field
     if u.is_zero or u.lc != field.one:
@@ -107,10 +109,36 @@ def mumford_validate(u, v, curve):
         raise MumfordError("degree", "need deg v < deg u <= g")
     if u.field != field or v.field != field:
         raise DomainError("mixed coefficient fields")
-    w = raw_sub(field, raw_mul(field, v.raw, raw_add(field, v.raw, curve.h.raw)), curve.f.raw)
-    if raw_divmod(field, w, u.raw)[1]:
+    if _mumford_divmod(field, curve.f.raw, curve.h.raw, u.raw, v.raw)[1]:
         raise MumfordError("divisibility", "u does not divide v^2 + v h - f")
     return MumfordDivisor(curve, u, v)
+
+
+def _mumford_divmod(field, f, h, u, v):
+    """(q, r) with f - v (v + h) = q u + r and deg r < deg u, for raw
+    vectors over field and u nonzero: one product and one division loop
+    on the unreduced values, each coefficient of q and r reduced once, and
+    1/lc(u) taken only for a non-monic u."""
+    w = list(f)
+    if v:
+        s = [a + b for a, b in zip_longest(v, h, fillvalue=0)]
+        w += [field._zero] * (len(v) + len(s) - 1 - len(w))
+        for i, x in enumerate(v):
+            if x:
+                for j, y in enumerate(s, i):
+                    w[j] -= x * y
+    d = len(u) - 1
+    red, low = field._red, u[:d]
+    inv = field._inv(u[-1]) if u[-1] != 1 else 1
+    q = []
+    for k in range(len(w) - 1, d - 1, -1):
+        c = red(w[k] * inv)
+        q.append(c)
+        if c:  # w[k] - c * u[d] vanishes; only w[:d] is kept
+            for i, y in enumerate(low, k - d):
+                w[i] -= c * y
+    q.reverse()
+    return _trimmed(q), field._trim(w[:d])
 
 
 def identity(curve):
@@ -314,7 +342,10 @@ def _raw_sum(field, f, h, x, y):
     if double:
         e, c = xgcd(add(add(v1, v1), h), u1)  # c = (2v + h)^-1 mod u if e = 1
         if e == one:
-            k = div(mul(exact(sub(f, mul(v1, add(v1, h))), u1), c), u1)[1]
+            k, r = _mumford_divmod(field, f, h, u1, v1)
+            if r:
+                raise DomainError("division is not exact")
+            k = div(mul(k, c), u1)[1]
             u3, v3 = mul(u1, u1), add(v1, mul(k, u1))
     else:
         e, c = xgcd(u1, u2)  # c = u1^-1 mod u2 if e = 1
@@ -329,7 +360,9 @@ def _raw_sum(field, f, h, x, y):
                  mul(c2, add(mul(v1, v2), f)))
         v3 = div(exact(v3, d), u3)[1]
     while len(u3) - 1 > g:
-        u3 = exact(sub(f, mul(v3, add(v3, h))), u3)
+        u3, r = _mumford_divmod(field, f, h, u3, v3)
+        if r:
+            raise DomainError("division is not exact")
         v3 = div(sub((), add(h, v3)), u3)[1]
     u3 = mul(u3, (field._inv(u3[-1]),))
     v3 = div(v3, u3)[1] if len(u3) > 1 else ()

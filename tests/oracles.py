@@ -7,7 +7,17 @@ from itertools import combinations, product
 from math import gcd
 
 from superelliptic import atlas
-from superelliptic.algebra import BinaryForm, Poly, QQ, factorize, valuation
+from superelliptic.algebra import (
+    BinaryForm,
+    Poly,
+    QQ,
+    factorize,
+    raw_add,
+    raw_divmod,
+    raw_mul,
+    raw_sub,
+    valuation,
+)
 from superelliptic.curves import SuperellipticCurve, genus_formula
 from superelliptic.errors import DomainError, SingularCurveError, UnsupportedCaseError
 from superelliptic.minimal import SuperellipticMinimalReport
@@ -348,7 +358,28 @@ def diff_xy_by_terms(f, i, j):
 
 
 # ---------------------------------------------------------------------------
-# Jacobians: the Hasse-Weil interval tested one end at a time
+# Jacobians: Mumford's division in three kernel calls, and the Hasse-Weil
+# interval tested one end at a time
+
+
+def mumford_divmod_by_three_ops(field, f, h, u, v):
+    """(q, r) with f - v (v + h) = q u + r: raw_add, raw_mul and raw_sub,
+    each trimmed, then a general raw_divmod."""
+    return raw_divmod(field, raw_sub(field, f, raw_mul(field, v, raw_add(field, v, h))), u)
+
+
+def mumford_condition_by_three_ops(u, v, curve):
+    """(condition, message) of the first of Mumford's three conditions
+    that (u, v) fails on curve, or None; divisibility is the remainder of
+    mumford_divmod_by_three_ops."""
+    field = curve.field
+    if u.is_zero or u.lc != field.one:
+        return "monic", "u must be monic"
+    if not (v.degree < u.degree <= curve.genus):
+        return "degree", "need deg v < deg u <= g"
+    if mumford_divmod_by_three_ops(field, curve.f.raw, curve.h.raw, u.raw, v.raw)[1]:
+        return "divisibility", "u does not divide v^2 + v h - f"
+    return None
 
 
 def hasse_interval_contains_by_ends(q, n):

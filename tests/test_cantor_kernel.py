@@ -1,9 +1,11 @@
 """Cantor's addition on raw residue vectors against the Poly-based
 composition it replaced, kept here verbatim as an oracle, and scalar_mul
-against repeated addition; the genus-2 and genus-3 explicit formulas over
-GF(p), the pairs they decline and the straight lines that take those (sums
-on points in genus 2; mixed degrees and a split at a shared root in genus
-3); the interpolation adder against its Poly-based version."""
+against repeated addition; Mumford's fused division f - v (v + h) = q u +
+r against its three-op form, and mumford_validate's answer through it; the
+genus-2 and genus-3 explicit formulas over GF(p), the pairs they decline
+and the straight lines that take those (sums on points in genus 2; mixed
+degrees and a split at a shared root in genus 3); the interpolation adder
+against its Poly-based version."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -18,7 +20,9 @@ from superelliptic.jacobian import (
     HyperCurve,
     InterpolationSum,
     MumfordDivisor,
+    MumfordError,
     _check_height,
+    _mumford_divmod,
     cantor_add,
     divisor_from_points,
     identity,
@@ -28,6 +32,8 @@ from superelliptic.jacobian import (
     negate,
     scalar_mul,
 )
+
+from oracles import mumford_condition_by_three_ops, mumford_divmod_by_three_ops
 
 
 def oracle_cantor_add(d1, d2, height_cap=None):
@@ -155,6 +161,65 @@ def test_scalar_mul_by_the_group_order_is_the_identity(name, data):
         assert scalar_mul(order, d).is_identity
         assert scalar_mul(order + 1, d) == d
         assert scalar_mul(-order - 1, d) == negate(d)
+
+
+MUMFORD_FIELDS = {"GF(3)": GF(3), "GF(7)": GF(7), "GF(1009)": GF(1009),
+                  "GF(2^61-1)": GF(2**61 - 1), "QQ": QQ}
+
+
+@pytest.mark.parametrize("monic", [True, False], ids=["monic", "non-monic"])
+@pytest.mark.parametrize("name", list(MUMFORD_FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mumford_divmod_matches_the_three_op_form(name, monic, data):
+    # f monic of degree 2g + 1, or any f of degree < 2g + 2, which lets the
+    # top of f - v (v + h) cancel; h zero or of degree <= g; u of degree 0
+    # to 2g, as Cantor's reduction divides by u of degree up to 2g; v of
+    # degree up to 2g + 1, so deg v >= deg u is drawn too
+    field = MUMFORD_FIELDS[name]
+    g = data.draw(st.sampled_from((2, 3)))
+
+    def raw(min_size=0, max_size=0, top=()):
+        cs = data.draw(st.lists(_scalar(field), min_size=min_size, max_size=max_size))
+        return Poly(field, cs + list(top)).raw
+
+    f = raw(2 * g + 1, 2 * g + 1, [1]) if data.draw(st.booleans()) else raw(0, 2 * g + 2)
+    lc = 1 if monic else data.draw(
+        _scalar(field).filter(lambda c: field.of(c) not in (field.zero, field.one)))
+    h, u, v = raw(max_size=g + 1), raw(max_size=2 * g, top=[lc]), raw(max_size=2 * g + 2)
+    assert _mumford_divmod(field, f, h, u, v) == mumford_divmod_by_three_ops(field, f, h, u, v)
+
+
+@pytest.mark.parametrize("name", list(MUMFORD_FIELDS))
+def test_mumford_divmod_trims_a_cancelled_top(name):
+    # f = x^4 + x, h = 0 and v = x^2: f - v^2 = x = 1 * x + 0, with no zero
+    # left at the top of q
+    field = MUMFORD_FIELDS[name]
+    f, u, v = (Poly(field, cs).raw for cs in ([0, 1, 0, 0, 1], [0, 1], [0, 0, 1]))
+    assert _mumford_divmod(field, f, (), u, v) == ((field._one,), ())
+
+
+@pytest.mark.parametrize("name", list(MUMFORD_FIELDS))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_mumford_validate_answers_as_the_three_op_form(name, data):
+    field = MUMFORD_FIELDS[name]
+    curve, pts = data.draw(curves_with_points(field))
+    g = curve.genus
+    d = divisor_from_points(curve, pts[:data.draw(st.integers(0, min(g, len(pts))))])
+    pairs = [(d.u, d.v), (d.u, d.v + Poly.one(field)), (d.u * Poly(field, [0, 1]), d.v)]
+    for _ in range(4):  # random (u, v): mostly refused, on each condition
+        pairs.append(tuple(Poly(field, data.draw(st.lists(_scalar(field), max_size=g + 2)))
+                           for _ in "uv"))
+    for u, v in pairs:
+        want = mumford_condition_by_three_ops(u, v, curve)
+        try:
+            got = mumford_validate(u, v, curve)
+        except MumfordError as e:
+            assert (e.condition, str(e)) == want
+        else:
+            assert want is None and (got.u, got.v) == (u, v)
 
 
 def test_height_cap_over_qq_matches_the_oracle():

@@ -77,7 +77,13 @@ def test_pinned_transcript(case, tmp_path, capsys):
 # composition, add a shared root (the same point, its opposite, with an
 # irreducible quadratic rest), two shared roots, a point or a degree-2
 # divisor plus a degree-3 one in both orders, a point whose own or opposite
-# point lies in the other's support, and two divisors of degree 2
+# point lies in the other's support, and two divisors of degree 2; the 66
+# after the file's comment line, captured before a line found its curve by
+# the document as written and Mumford's division was fused, add the monic
+# and degree refusals of both commands, the identity, deg v >= deg u, h !=
+# 0, genus 3, curves over Q (whose sums all take the general composition
+# and its reduction) and batches spelling one curve's leading 1 as "1", 1,
+# "+1", 1.0 and true
 @pytest.mark.parametrize("case", _pinned("pinned_jacobian_cli.jsonl"),
                          ids=lambda c: c.get("id", " ".join(c["argv"][:2])))
 def test_pinned_jacobian_transcript(case, tmp_path, capsys):
@@ -525,3 +531,25 @@ def test_field_and_curve_are_checked_once_per_run_of_lines(monkeypatch, tmp_path
     code, out = _call(["jac-validate", "--input", "{input}"], json.dumps(docs[0]) + "\n",
                       tmp_path)
     assert built[8:] == [1009] and fields[4:] == [1009]
+
+
+def test_a_kept_curve_is_found_by_its_document_with_each_type(monkeypatch, tmp_path):
+    # JSON has [1] == [True]: a line is matched to the kept curve by its
+    # document with the type of each coefficient, then by its parsed values
+    built = []
+
+    def counting_curve(f, h):
+        built.append(f.raw[-1])
+        return real_curve(f, h)
+
+    real_curve = jacobian.HyperCurve
+    monkeypatch.setattr(jacobian, "HyperCurve", counting_curve)
+    spelt = [{**A, "f": A["f"][:-1] + [last]} for last in ("1", 1, True, "+1", 1, "1")]
+    text = "".join(json.dumps({"curve": c, **D1}) + "\n" for c in spelt)
+    code, out = _call(["jac-validate", "--input", "{input}"], text, tmp_path)
+    assert code == EXIT_OK
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert lines[2] == {"error": {"kind": "parse", "message":
+                                  "bad scalar True: Invalid literal for Fraction: 'True'"}}
+    assert [line.get("valid") for line in lines] == [True, True, None, True, True, True]
+    assert built == [1]  # "+1" and 1 in place of "1" reuse the curve checked first
